@@ -1,9 +1,9 @@
-"""E10: join-kernel throughput, interpreted vs compiled plans.
+"""E10: join-kernel throughput, interpreter vs generated kernels.
 
 Benchmarks the same workloads as ``run_join_kernel.py`` under
 pytest-benchmark, parametrized over the ``compiled`` knob so the
-interpreted (reference) and compiled (:mod:`repro.datalog.plan`) paths
-appear side by side in the benchmark table.  Every benchmark also
+interpreted (reference) and compiled (:mod:`repro.datalog.batch`
+kernels) paths appear side by side in the benchmark table.  Every benchmark also
 asserts result equivalence against the interpreted path -- the timing
 comparison is only meaningful if both compute the same model.
 """

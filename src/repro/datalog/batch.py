@@ -1,15 +1,19 @@
 """Batched columnar join kernels: per-plan generated closures.
 
-The compiled :class:`~repro.datalog.plan.JoinPlan` (PR 2) still binds
-one tuple at a time: every candidate fact pays an iterator-stack round
-trip, a ``run_fact_ops`` dispatch per position and a ``run_builder``
-walk per head argument.  This module is the third evaluation tier
-(``compiled="batched"``): for each plan it *generates Python source*
+This module is the fast evaluation tier (``compiled=True``; the other
+tier is the reference interpreter).  For each compiled
+:class:`~repro.datalog.plan.JoinPlan` it *generates Python source*
 specialized to that rule -- the nested join loops are unrolled over the
-plan's steps, slot reads/writes become local variables, constants and
-index keys are baked into the closure's environment, and the per-round
-hash indices are bound once per batch (``dict.get`` hoisted out of the
-probe loop) instead of re-entered per candidate binding.
+plan's steps, slot reads/writes become local variables, relation keys,
+constants and function names live in the closure's environment, and the
+per-round hash indices are bound once per batch (``dict.get`` hoisted
+out of the probe loop) instead of re-entered per candidate binding.
+
+Because everything rule-specific lives in the environment, rules of the
+same shape (equal modulo relation names and constants) generate the
+same source text.  Its code object is compiled once and shared
+(:func:`repro.datalog.plan.kernel_code`, counted as ``plan.shape_hits``);
+each rule still gets its own closure environment from ``exec``.
 
 Semi-naive deltas travel as :class:`Batch` -- parallel columns of
 interned terms plus an explicit length (so zero-arity relations keep
@@ -29,13 +33,14 @@ The generated code preserves the interpreted semantics exactly:
   accumulated in locals and merged into :class:`PlanStats` per batch.
 
 ``compiled=False`` remains the executable specification; the property
-suite runs all three tiers to identical fixpoints.
+suite runs both tiers to identical fixpoints.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Sequence, cast
 
+from repro.datalog.plan import kernel_code
 from repro.datalog.term import Func, Term
 
 if TYPE_CHECKING:
@@ -225,14 +230,17 @@ def _never_kernel(db: "Database", batch: "Batch | None", neg: "Database",
 _RETURN = "return (explored, hits, misses, fulls, deltas)"
 
 
-def compile_batched_kernel(plan: "JoinPlan") -> "Kernel":
+def compile_batched_kernel(plan: "JoinPlan",
+                           stats: "PlanStats | None" = None) -> "Kernel":
     """Generate the specialized batch kernel for one compiled plan.
 
     The kernel signature is ``kernel(db, batch, neg, out_append)`` and it
     returns the stats quintuple ``(bindings_explored, index_hits,
     index_misses, full_scans, delta_scans)``.  ``batch`` is only read
     when the plan has a delta step (and the caller guarantees it is a
-    non-empty :class:`Batch` in that case).
+    non-empty :class:`Batch` in that case).  A source text already
+    compiled for another rule reuses that code object (counted under
+    ``stats.shape_hits``).
     """
     # Variable-free inequalities are decidable now: a violated one means
     # the rule can never fire, so the kernel is a constant.
@@ -322,7 +330,7 @@ def compile_batched_kernel(plan: "JoinPlan") -> "Kernel":
 
     source = ("def _kernel(db, batch, neg, out_append):\n"
               + "\n".join(em.lines) + "\n")
-    code = compile(source, f"<batched-kernel:{plan.rule!s}>", "exec")
+    code = kernel_code(source, stats)
     namespace: dict[str, object] = dict(em.env)
     exec(code, namespace)  # noqa: S102 -- trusted, plan-derived source
     return cast("Kernel", namespace["_kernel"])
@@ -337,13 +345,13 @@ def fire_batched(plan: "JoinPlan", db: "Database", delta: "Batch | None",
     """Run a plan's generated kernel over a columnar delta batch.
 
     Returns every derived head tuple (duplicates included -- the caller
-    owns deduplication, budget pruning and insertion, exactly as with
-    :meth:`JoinPlan.bindings`).  Kernels compile lazily on first use and
-    are cached on the plan, so the shared plan cache amortizes codegen.
+    owns deduplication, budget pruning and insertion).  Kernels compile
+    lazily on first use and are cached on the plan, so the shared plan
+    cache amortizes codegen.
     """
     kernel = cast("Kernel | None", plan.batched_kernel)
     if kernel is None:
-        kernel = compile_batched_kernel(plan)
+        kernel = compile_batched_kernel(plan, stats)
         plan.batched_kernel = kernel
     if plan.delta_position is not None and (delta is None or delta.length == 0):
         return []

@@ -52,7 +52,7 @@ class Database:
     def add_ground(self, key: RelationKey, tup: Fact) -> bool:
         """Insert a fact the caller guarantees is an already-ground tuple.
 
-        The compiled join plans build head tuples from ground slot values,
+        The join kernels build head tuples from ground slot values,
         so re-validating each term would only re-walk terms known ground;
         this is the trusted fast path (the validating :meth:`add` wraps it).
         """
@@ -111,8 +111,8 @@ class Database:
                   arity: int | None = None) -> Batch:
         """Bulk-insert already-ground rows; returns the new facts columnar.
 
-        The workhorse of the batched evaluation tier: one call inserts a
-        whole derived block (indices and the change log maintained
+        The bottom-up evaluators' one insertion path: one call inserts
+        a whole derived block (indices and the change log maintained
         incrementally, exactly as :meth:`add_ground` would) and hands
         back the *genuinely new* facts as a :class:`Batch` -- which is
         the next semi-naive delta, already in the kernels' columnar
@@ -195,7 +195,7 @@ class Database:
                      values: tuple[Term, ...]) -> Sequence[Fact]:
         """Facts of ``key`` whose projection on ``positions`` equals ``values``.
 
-        This is the raw index probe used by compiled join plans, which
+        This is the raw index probe used by QSQR's compiled rule plans, which
         precompute ``positions`` at rule-compile time instead of
         re-deriving the bound positions on every call.
         """
@@ -205,7 +205,7 @@ class Database:
                   ) -> dict[tuple[Term, ...], list[Fact]]:
         """The live hash index over ``positions`` (built on first use).
 
-        Exposed for the batched join kernels, which bind the returned
+        Exposed for the generated join kernels, which bind the returned
         dict's ``.get`` once per batch -- one hash-table acquisition per
         (relation, key-positions) pair per iteration -- instead of going
         through :meth:`index_lookup` per probe.  The dict is maintained
@@ -216,7 +216,7 @@ class Database:
     def fact_set(self, key: RelationKey) -> AbstractSet[Fact]:
         """The relation's fact set (shared, read-only; empty if absent).
 
-        Batched kernels hoist this once per batch for negated-atom
+        Join kernels hoist this once per batch for negated-atom
         membership tests (``contains`` per binding would re-pay the
         method call and the defaultdict lookup).
         """

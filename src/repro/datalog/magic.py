@@ -136,7 +136,7 @@ def _rewrite_rule(rule: Rule, adornment: Adornment, idb: set,
 
 def magic_evaluate(program: Program, query: Query, db: Database | None = None,
                    budget: EvaluationBudget | None = None,
-                   compiled: bool | str = True,
+                   compiled: bool = True,
                    check: bool = True) -> tuple[set[Fact], Counters, Database]:
     """Rewrite with Magic Sets and evaluate semi-naively; returns answers."""
     if check:

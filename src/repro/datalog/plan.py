@@ -1,4 +1,4 @@
-"""Compiled join plans: the bottom-up evaluators' hot path.
+"""Compiled join plans: what the generated join kernels are built from.
 
 ``iter_rule_bindings`` (:mod:`repro.datalog.evalutil`) is a clean
 recursive interpreter, but it re-derives the bound index positions of
@@ -7,11 +7,11 @@ fact and re-walks pattern terms with generic matching.  Every solver in
 this reproduction -- semi-naive, QSQ/magic (rewritings evaluated
 semi-naively), dQSQ (incremental evaluators at each peer) and QSQR --
 funnels through that join, so this module compiles each :class:`Rule`
-once into a :class:`JoinPlan`:
+once into a :class:`JoinPlan`, from which :mod:`repro.datalog.batch`
+generates the rule's join kernel:
 
-* variables get integer **slots**; a binding is a flat list, extended in
-  place (no copying: a slot written at step *k* is only ever read at
-  steps >= *k*, so re-running step *k* overwrites before any read);
+* variables get integer **slots** (locals ``s0``, ``s1``, ... of the
+  generated kernel);
 * each body atom becomes a :class:`JoinStep` with the **index positions
   precomputed** (constants, already-bound variables, and function terms
   whose variables are all bound -- the last is *more* selective than the
@@ -25,45 +25,46 @@ once into a :class:`JoinPlan`:
 Plans are cached per ``(rule, delta_position, order)`` -- ``order`` is
 ``None`` for the greedy default and an explicit permutation when a
 :class:`~repro.datalog.cost.PlanAdvisor` picks the cost-based order
-instead; :class:`PlanStats`
-exposes index hit/miss and bindings-explored counts so the perf
-trajectory is measurable (``plan.*`` counters).
+instead.  Kernel code objects are cached beside them, keyed on the
+generated source text, so every rule of one shape shares one
+``compile()``.  :class:`PlanStats` exposes index hit/miss and
+bindings-explored counts so the perf trajectory is measurable
+(``plan.*`` counters).
 
-The interpreter is kept as the executable specification: every engine
-accepts ``compiled=False`` and the property suite asserts bit-identical
-models between the two paths.
+There are two evaluation tiers.  ``compiled=True`` runs the generated
+kernels; ``compiled=False`` runs the interpreter, which is kept as the
+executable specification, and the property suite asserts bit-identical
+models between the two.  :class:`QsqrRulePlan` at the end of the module
+is QSQR's own (non-reordered) plan, run tuple at a time by
+:mod:`repro.datalog.qsqr`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterator, Sequence
+from types import CodeType
+from typing import TYPE_CHECKING, Sequence
 
-from repro.datalog.atom import Atom, Inequality
-from repro.datalog.database import Database, Fact, RelationKey
 from repro.datalog.rule import Rule
 from repro.datalog.term import Func, Term, Var, variables_of
 from repro.utils.counters import Counters
 
 if TYPE_CHECKING:
     from repro.datalog.batch import Kernel
+    from repro.datalog.database import Fact, RelationKey
     from repro.datalog.cost import PlanAdvisor
 
 
-def coerce_compiled(value: bool | str) -> bool | str:
-    """Validate the three-tier evaluation knob.
-
-    ``False`` selects the reference interpreter
-    (:func:`~repro.datalog.evalutil.iter_rule_bindings`, the executable
-    specification), ``True`` the tuple-at-a-time compiled plans of this
-    module, and ``"batched"`` the columnar batch kernels of
-    :mod:`repro.datalog.batch`.  All three compute identical fixpoints
-    (a property-tested invariant); they differ only in speed.
+def check_compiled(value: bool) -> bool:
+    """Validate the evaluation-tier knob: ``False`` selects the reference
+    interpreter (:func:`~repro.datalog.evalutil.iter_rule_bindings`, the
+    executable specification), ``True`` the generated join kernels of
+    :mod:`repro.datalog.batch`.  Both compute identical fixpoints (a
+    property-tested invariant); they differ only in speed.
     """
-    if value is False or value is True or value == "batched":
+    if value is False or value is True:
         return value
-    raise ValueError(
-        f"compiled must be False, True or 'batched'; got {value!r}")
+    raise ValueError(f"compiled must be True or False; got {value!r}")
 
 
 # -- term-level compilation ------------------------------------------------------
@@ -172,15 +173,12 @@ class PlanStats:
     evaluator flushes the deltas under ``plan.*`` counter names.
     """
 
-    __slots__ = ("bindings_explored", "index_hits", "index_misses",
-                 "full_scans", "delta_scans", "cache_hits", "cache_misses",
-                 "cache_evictions", "advisor_rules", "advisor_reorders",
-                 "advisor_predicted_bindings", "_flushed")
-
     _FIELDS = ("bindings_explored", "index_hits", "index_misses",
                "full_scans", "delta_scans", "cache_hits", "cache_misses",
-               "cache_evictions", "advisor_rules", "advisor_reorders",
-               "advisor_predicted_bindings")
+               "cache_evictions", "shape_hits", "advisor_rules",
+               "advisor_reorders", "advisor_predicted_bindings")
+
+    __slots__ = _FIELDS + ("_flushed",)
 
     def __init__(self) -> None:
         self.bindings_explored = 0
@@ -191,6 +189,8 @@ class PlanStats:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
+        #: kernel compiles served by the shape-keyed code cache
+        self.shape_hits = 0
         #: rules whose join order a PlanAdvisor chose (advisor_reorders of
         #: them differing from the greedy default); advisor_predicted_bindings
         #: accumulates the advisor's cost predictions so the benchmark gate
@@ -238,9 +238,8 @@ class JoinStep:
 class JoinPlan:
     """A rule compiled for bottom-up evaluation (optionally delta-restricted)."""
 
-    __slots__ = ("rule", "delta_position", "nslots", "var_slots", "steps",
-                 "pre_checks", "negated", "head_key", "head_builders",
-                 "batched_kernel")
+    __slots__ = ("rule", "delta_position", "steps", "pre_checks", "negated",
+                 "head_key", "head_builders", "batched_kernel")
 
     def __init__(self, rule: Rule, delta_position: int | None = None,
                  order: Sequence[int] | None = None) -> None:
@@ -262,9 +261,7 @@ class JoinPlan:
                 raise ValueError(
                     f"join order {order} must start with the delta "
                     f"position {delta_position} (semi-naive soundness)")
-        self.var_slots = _assign_slots(rule, order)
-        self.nslots = len(self.var_slots)
-        slot_of = self.var_slots
+        slot_of = _assign_slots(rule, order)
 
         # Schedule inequalities at the earliest execution step where both
         # sides are ground; variable-free constraints run once up front.
@@ -330,101 +327,6 @@ class JoinPlan:
         self.head_key = rule.head.key()
         self.head_builders = tuple(compile_builder(a, slot_of)
                                    for a in rule.head.args)
-
-    # -- execution ------------------------------------------------------------
-
-    def bindings(self, db: Database,
-                 delta_facts: Sequence[Fact] | None = None,
-                 neg_db: Database | None = None,
-                 stats: PlanStats | None = None) -> Iterator[list]:
-        """Yield the slot array for every complete body binding.
-
-        The *same* list object is yielded each time and mutated in place
-        between yields; consumers must read (e.g. build the head tuple)
-        before advancing the iterator.
-        """
-        slots: list = [None] * self.nslots
-        if self.pre_checks and not ineqs_hold(self.pre_checks, slots):
-            return
-        neg = neg_db if neg_db is not None else db
-        steps = self.steps
-        n = len(steps)
-        if n == 0:
-            if self._negated_ok(neg, slots):
-                yield slots
-            return
-        iterators: list = [None] * n
-        ops_at: list = [None] * n
-        depth = 0
-        iterators[0], ops_at[0] = self._source(steps[0], db, delta_facts,
-                                               slots, stats)
-        while True:
-            step = steps[depth]
-            ops = ops_at[depth]
-            matched = False
-            for fact in iterators[depth]:
-                if not run_fact_ops(ops, fact, slots):
-                    continue
-                if step.ineqs and not ineqs_hold(step.ineqs, slots):
-                    continue
-                matched = True
-                break
-            if not matched:
-                depth -= 1
-                if depth < 0:
-                    return
-                continue
-            if depth + 1 == n:
-                if self._negated_ok(neg, slots):
-                    yield slots
-                continue
-            depth += 1
-            iterators[depth], ops_at[depth] = self._source(
-                steps[depth], db, delta_facts, slots, stats)
-
-    def head_args(self, slots: list) -> Fact:
-        """Instantiate the head argument tuple under a complete binding."""
-        return tuple(run_builder(b, slots) for b in self.head_builders)
-
-    def binding_dict(self, slots: list) -> dict[Var, Term]:
-        """A dict view of a slot array (diagnostics / interpreter parity)."""
-        return {var: slots[slot] for var, slot in self.var_slots.items()
-                if slots[slot] is not None}
-
-    def _negated_ok(self, neg_db: Database, slots: list) -> bool:
-        for key, builders in self.negated:
-            ground = tuple(run_builder(b, slots) for b in builders)
-            if neg_db.contains(key, ground):
-                return False
-        return True
-
-    def _source(self, step: JoinStep, db: Database,
-                delta_facts: Sequence[Fact] | None, slots: list,
-                stats: PlanStats | None) -> tuple:
-        if step.use_delta:
-            facts: Sequence[Fact] = delta_facts or ()
-            if stats is not None:
-                stats.delta_scans += 1
-                stats.bindings_explored += len(facts)
-            return iter(facts), step.scan_ops
-        if step.index_positions:
-            if step.single_slot is not None:
-                values = (slots[step.single_slot],)
-            else:
-                values = tuple(run_builder(b, slots) for b in step.index_values)
-            bucket = db.index_lookup(step.key, step.index_positions, values)
-            if stats is not None:
-                if bucket:
-                    stats.index_hits += 1
-                else:
-                    stats.index_misses += 1
-                stats.bindings_explored += len(bucket)
-            return iter(bucket), step.residual_ops
-        facts = db.facts(step.key)
-        if stats is not None:
-            stats.full_scans += 1
-            stats.bindings_explored += len(facts)
-        return iter(facts), step.scan_ops
 
     def __repr__(self) -> str:
         order = [s.position for s in self.steps]
@@ -495,6 +397,11 @@ _PLAN_CACHE: OrderedDict[tuple[Rule, int | None, tuple[int, ...] | None],
                          JoinPlan] = OrderedDict()
 _PLAN_CACHE_MAX = 16384
 _PLAN_CACHE_EVICTIONS = 0
+#: kernel code objects per generated source text (same LRU bound): the
+#: kernel generator moves every relation key, constant and function name
+#: into the closure environment, so rules that differ only in those
+#: generate the same source and share one ``compile()``
+_KERNEL_CODE: OrderedDict[str, CodeType] = OrderedDict()
 
 
 def compile_join_plan(rule: Rule, delta_position: int | None = None,
@@ -531,6 +438,21 @@ def compile_join_plan(rule: Rule, delta_position: int | None = None,
         if counters is not None:
             counters.add("plan.cache_hits")
     return plan
+
+
+def kernel_code(source: str, stats: PlanStats | None = None) -> CodeType:
+    """The cached code object of a generated kernel source (``plan.shape_hits``)."""
+    code = _KERNEL_CODE.get(source)
+    if code is None:
+        code = compile(source, "<batched-kernel>", "exec")
+        if len(_KERNEL_CODE) >= _PLAN_CACHE_MAX:
+            _KERNEL_CODE.popitem(last=False)
+        _KERNEL_CODE[source] = code
+    else:
+        _KERNEL_CODE.move_to_end(source)
+        if stats is not None:
+            stats.shape_hits += 1
+    return code
 
 
 def plan_for(cache: dict, stats: PlanStats, rule: Rule,
@@ -593,11 +515,15 @@ def set_plan_cache_limit(limit: int) -> int:
     while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
         _PLAN_CACHE.popitem(last=False)
         _PLAN_CACHE_EVICTIONS += 1
+    while len(_KERNEL_CODE) > _PLAN_CACHE_MAX:
+        _KERNEL_CODE.popitem(last=False)
     return previous
 
 
 def clear_plan_cache() -> None:
+    """Empty the plan cache and the kernel code cache (cold runs stay cold)."""
     _PLAN_CACHE.clear()
+    _KERNEL_CODE.clear()
 
 
 # -- QSQR rule plans -------------------------------------------------------------

@@ -246,7 +246,7 @@ class QsqResult:
 
 def qsq_evaluate(program: Program, query: Query, db: Database | None = None,
                  budget: EvaluationBudget | None = None,
-                 in_place: bool = False, compiled: bool | str = True,
+                 in_place: bool = False, compiled: bool = True,
                  check: bool = True) -> QsqResult:
     """Rewrite ``program`` for ``query`` and evaluate semi-naively.
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from repro.datalog.adornment import Adornment
 from repro.datalog.database import Database, Fact, RelationKey
 from repro.datalog.plan import (PlanStats, QsqrRulePlan, QsqrStep,
-                                coerce_compiled, ineqs_hold, run_builder,
+                                check_compiled, ineqs_hold, run_builder,
                                 run_fact_ops)
 from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.seminaive import EvaluationBudget
@@ -51,11 +51,11 @@ class QsqrEvaluator:
 
     def __init__(self, program: Program,
                  budget: EvaluationBudget | None = None,
-                 compiled: bool | str = True, check: bool = True) -> None:
+                 compiled: bool = True, check: bool = True) -> None:
         self.program = program
         self.budget = budget or EvaluationBudget()
         self.counters = Counters()
-        self.compiled = coerce_compiled(compiled)
+        self.compiled = check_compiled(compiled)
         if check:
             from repro.datalog.analysis import check_program
             check_program(program, context="qsqr",
@@ -94,7 +94,7 @@ class QsqrEvaluator:
                 raise BudgetExceeded("iterations", self.budget.max_iterations)
             before = (sum(len(v) for v in answers.values()),
                       sum(len(v) for v in demands.values()))
-            if self.compiled == "batched":
+            if self.compiled:
                 for key in list(demands):
                     self._process_demand_batch(key, list(demands[key]), db,
                                                answers, demands)
@@ -127,9 +127,9 @@ class QsqrEvaluator:
     def _process_demand_batch(self, key: AdornedKey,
                               bounds: list[tuple[Term, ...]], db: Database,
                               answers: dict, demands: dict) -> None:
-        """Process a whole demand table in one sweep (the batched tier).
+        """Process a whole demand table in one sweep (the compiled tier).
 
-        Inverts the ``demand x rule`` loop nest of
+        Inverts the ``demand x rule`` loop nest of the interpreted
         :meth:`_process_demand`: each rule's plan is looked up once per
         sweep and replayed over every demand tuple, instead of paying
         the plan-cache probe per (demand, rule) pair.  Answer/demand
@@ -139,6 +139,8 @@ class QsqrEvaluator:
         relation, peer, pattern = key
         bound_positions = Adornment(pattern).bound_positions()
         for rule in self.program.rules_for(relation, peer):
+            # id-keyed: skips Rule.__eq__ on the hot path; the plan holds
+            # the rule strongly, pinning its id.
             cache_key = (id(rule), bound_positions)
             plan = self._plans.get(cache_key)
             if plan is None:
@@ -154,21 +156,6 @@ class QsqrEvaluator:
                         db: Database, answers: dict, demands: dict) -> None:
         relation, peer, pattern = key
         adornment = Adornment(pattern)
-        if self.compiled:
-            bound_positions = adornment.bound_positions()
-            for rule in self.program.rules_for(relation, peer):
-                # id-keyed: skips Rule.__eq__ on the per-demand hot path;
-                # the plan holds the rule strongly, pinning its id.
-                cache_key = (id(rule), bound_positions)
-                plan = self._plans.get(cache_key)
-                if plan is None:
-                    plan = QsqrRulePlan(rule, bound_positions, self._idb)
-                    self._plans[cache_key] = plan
-                    self._plan_stats.cache_misses += 1
-                else:
-                    self._plan_stats.cache_hits += 1
-                self._run_plan(plan, bound, db, answers, demands, key)
-            return
         for rule in self.program.rules_for(relation, peer):
             binding: dict[Var, Term] = {}
             ok = True
@@ -318,7 +305,7 @@ class QsqrEvaluator:
 
 def qsqr_evaluate(program: Program, query: Query, db: Database | None = None,
                   budget: EvaluationBudget | None = None,
-                  compiled: bool | str = True,
+                  compiled: bool = True,
                   check: bool = True) -> QsqrResult:
     """Convenience wrapper mirroring :func:`repro.datalog.qsq.qsq_evaluate`."""
     work_db = db.copy() if db is not None else Database()

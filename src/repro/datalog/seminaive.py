@@ -24,7 +24,7 @@ from repro.datalog.atom import Atom
 from repro.datalog.batch import Batch, fire_batched
 from repro.datalog.database import Database, Fact, RelationKey
 from repro.datalog.evalutil import derive_head, iter_rule_bindings
-from repro.datalog.plan import PlanStats, coerce_compiled, plan_for
+from repro.datalog.plan import PlanStats, check_compiled, plan_for
 from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.term import Term, term_depth
 from repro.errors import BudgetExceeded
@@ -55,7 +55,7 @@ class EvaluationBudget:
         return self.prunes_fact(atom.args)
 
     def prunes_fact(self, args: Sequence[Term]) -> bool:
-        """Depth check on a bare argument tuple (compiled-plan hot path)."""
+        """Depth check on a bare argument tuple (the shared insertion path)."""
         if self.max_term_depth is None:
             return False
         depth = max((term_depth(a) for a in args), default=0)
@@ -66,7 +66,89 @@ class EvaluationBudget:
         raise BudgetExceeded("term_depth", self.max_term_depth)
 
 
-class IncrementalEvaluator:
+class BottomUpEvaluator:
+    """What the bottom-up evaluators share: the tier switch and one fire path.
+
+    The tier decides only how a firing produces head tuples: the
+    generated kernel of :mod:`repro.datalog.batch` (``compiled=True``) or
+    the reference interpreter's ``iter_rule_bindings`` + ``derive_head``
+    (``compiled=False``).  Depth pruning, the ``derivations`` /
+    ``pruned_deep_facts`` / ``facts_materialized`` counters, the
+    ``max_facts`` check and insertion are written once, in :meth:`_fire`.
+    """
+
+    def __init__(self, budget: EvaluationBudget | None = None,
+                 compiled: bool = True,
+                 advisor: "PlanAdvisor | None" = None) -> None:
+        self.budget = budget or EvaluationBudget()
+        self.counters = Counters()
+        self.compiled = check_compiled(compiled)
+        #: optional cost-based join-order advisor (repro.datalog.cost);
+        #: consulted once per (rule, delta) on plan-cache misses
+        self._advisor = advisor
+        self._plan_stats = PlanStats()
+        #: id-keyed plan map (see repro.datalog.plan.plan_for)
+        self._plans: dict = {}
+
+    def flush_stats(self) -> None:
+        """Flush pending plan counters into :attr:`counters` (idempotent).
+
+        Runs flush at every fixpoint; the transports call this at
+        collection time so plan work done since the last successful
+        fixpoint (e.g. a run aborted by ``BudgetExceeded``) still lands
+        in the per-peer counters instead of dying with the worker.
+        """
+        self._plan_stats.flush_into(self.counters)
+
+    def _fire(self, rule: Rule, db: Database,
+              delta_position: int | None = None, delta: Batch | None = None,
+              out_delta: dict[RelationKey, Batch] | None = None) -> bool:
+        """Fire ``rule`` once; True when it added a fact.
+
+        With ``delta_position`` set, that body atom joins only ``delta``
+        (the semi-naive restriction); the new facts are appended to
+        ``out_delta`` when given.  Derived heads are buffered and
+        inserted only after the join completes: inserting mid-join would
+        extend the very fact lists being iterated and make a single
+        firing run away on recursive rules with function symbols.
+        """
+        if self.compiled:
+            plan = plan_for(self._plans, self._plan_stats, rule,
+                            delta_position, advisor=self._advisor)
+            key = plan.head_key
+            rows = fire_batched(plan, db, delta, stats=self._plan_stats)
+        else:
+            key = rule.head.key()
+            delta_facts = delta.rows() if delta is not None else ()
+            rows = [derive_head(rule, binding).args
+                    for binding in iter_rule_bindings(
+                        rule, db, delta_position=delta_position,
+                        delta_facts=delta_facts)]
+        if not rows:
+            return False
+        self.counters.add("derivations", len(rows))
+        budget = self.budget
+        if budget.max_term_depth is not None:
+            kept = [args for args in rows if not budget.prunes_fact(args)]
+            if len(kept) < len(rows):
+                self.counters.add("pruned_deep_facts", len(rows) - len(kept))
+            rows = kept
+        fresh = db.add_batch(key, rows)
+        if not fresh:
+            return False
+        self.counters.add("facts_materialized", fresh.length)
+        if db.total_facts() > budget.max_facts:
+            raise BudgetExceeded("facts", budget.max_facts)
+        if out_delta is not None:
+            existing = out_delta.get(key)
+            if existing is None:
+                out_delta[key] = fresh
+            else:
+                existing.extend(fresh)
+        return True
+
+
+class IncrementalEvaluator(BottomUpEvaluator):
     """Semi-naive evaluation with a persistent frontier.
 
     Built for the distributed engines: a peer's rule set *grows* over
@@ -80,18 +162,10 @@ class IncrementalEvaluator:
     """
 
     def __init__(self, db: Database, budget: EvaluationBudget | None = None,
-                 compiled: bool | str = True,
+                 compiled: bool = True,
                  advisor: "PlanAdvisor | None" = None) -> None:
+        super().__init__(budget, compiled, advisor)
         self.db = db
-        self.budget = budget or EvaluationBudget()
-        self.counters = Counters()
-        self.compiled = coerce_compiled(compiled)
-        #: optional cost-based join-order advisor (repro.datalog.cost);
-        #: consulted once per (rule, delta) on plan-cache misses
-        self._advisor = advisor
-        self._plan_stats = PlanStats()
-        #: id-keyed plan map (see repro.datalog.plan.plan_for)
-        self._plans: dict = {}
         self._rules: list[Rule] = []
         self._seen_rules: set[Rule] = set()
         self._pending_rules: list[Rule] = []
@@ -135,7 +209,6 @@ class IncrementalEvaluator:
 
     def run(self) -> None:
         """Process pending rules and unprocessed facts to a fixpoint."""
-        batched = self.compiled == "batched"
         iterations = 0
         while True:
             iterations += 1
@@ -147,10 +220,7 @@ class IncrementalEvaluator:
                 self._rules.append(rule)
                 for position, atom in enumerate(rule.body):
                     self._by_body[atom.key()].append((rule, position))
-                if batched:
-                    self._fire_batched(rule, None, None)
-                else:
-                    self._fire(rule, None, ())
+                self._fire(rule, self.db)
                 progressed = True
             # Only relations named in the change-log suffix can have new
             # facts: no full scan over the (large) relation space.
@@ -164,127 +234,43 @@ class IncrementalEvaluator:
                 start = self._cursor.get(key, 0)
                 if start >= len(facts):
                     continue
-                new = list(facts[start:])
+                # Transpose the key's new facts once; every rule with a
+                # matching body atom joins the same columnar block.
+                delta = Batch.from_rows(facts[start:])
                 self._cursor[key] = len(facts)
                 progressed = True
-                if batched:
-                    # Transpose the key's new facts once; every rule with
-                    # a matching body atom joins the same columnar block.
-                    delta = Batch.from_rows(new)
-                    for rule, position in self._by_body.get(key, ()):
-                        self._fire_batched(rule, position, delta)
-                else:
-                    for rule, position in self._by_body.get(key, ()):
-                        self._fire(rule, position, new)
+                for rule, position in self._by_body.get(key, ()):
+                    self._fire(rule, self.db, position, delta)
             if not progressed:
-                self._plan_stats.flush_into(self.counters)
+                self.flush_stats()
                 return
 
-    def flush_stats(self) -> None:
-        """Flush pending plan counters into :attr:`counters` (idempotent).
 
-        :meth:`run` flushes at every fixpoint; the transports call this
-        at collection time so plan work done since the last successful
-        fixpoint (e.g. a run aborted by ``BudgetExceeded``) still lands
-        in the per-peer counters instead of dying with the worker.
-        """
-        self._plan_stats.flush_into(self.counters)
-
-    def _fire_batched(self, rule: Rule, delta_position: int | None,
-                      delta: Batch | None) -> None:
-        plan = plan_for(self._plans, self._plan_stats, rule, delta_position,
-                        advisor=self._advisor)
-        rows = fire_batched(plan, self.db, delta, stats=self._plan_stats)
-        if not rows:
-            return
-        self.counters.add("derivations", len(rows))
-        budget = self.budget
-        if budget.max_term_depth is not None:
-            kept: list[Fact] = []
-            prunes = 0
-            for args in rows:
-                if budget.prunes_fact(args):
-                    prunes += 1
-                else:
-                    kept.append(args)
-            if prunes:
-                self.counters.add("pruned_deep_facts", prunes)
-            rows = kept
-        added = self.db.add_batch(plan.head_key, rows).length
-        if added:
-            self.counters.add("facts_materialized", added)
-            if self.db.total_facts() > budget.max_facts:
-                raise BudgetExceeded("facts", budget.max_facts)
-
-    def _fire(self, rule: Rule, delta_position: int | None,
-              delta_facts: Sequence[Fact]) -> None:
-        if self.compiled:
-            plan = plan_for(self._plans, self._plan_stats, rule, delta_position,
-                        advisor=self._advisor)
-            derived_facts: list[Fact] = []
-            derivations = 0
-            prunes = 0
-            budget = self.budget
-            for slots in plan.bindings(self.db, delta_facts=delta_facts,
-                                       stats=self._plan_stats):
-                args = plan.head_args(slots)
-                derivations += 1
-                if budget.prunes_fact(args):
-                    prunes += 1
-                    continue
-                derived_facts.append(args)
-            if derivations:
-                self.counters.add("derivations", derivations)
-            if prunes:
-                self.counters.add("pruned_deep_facts", prunes)
-            key = plan.head_key
-            for args in derived_facts:
-                if self.db.add_ground(key, args):
-                    self.counters.add("facts_materialized")
-                    if self.db.total_facts() > budget.max_facts:
-                        raise BudgetExceeded("facts", budget.max_facts)
-            return
-        derived: list[Atom] = []
-        for binding in iter_rule_bindings(rule, self.db, delta_position=delta_position,
-                                          delta_facts=delta_facts):
-            head = derive_head(rule, binding)
-            self.counters.add("derivations")
-            if self.budget.prunes_atom(head):
-                self.counters.add("pruned_deep_facts")
-                continue
-            derived.append(head)
-        for head in derived:
-            if self.db.add_atom(head):
-                self.counters.add("facts_materialized")
-                if self.db.total_facts() > self.budget.max_facts:
-                    raise BudgetExceeded("facts", self.budget.max_facts)
-
-
-class SemiNaiveEvaluator:
+class SemiNaiveEvaluator(BottomUpEvaluator):
     """Semi-naive fixpoint evaluation of a program over a database."""
 
     def __init__(self, program: Program,
                  budget: EvaluationBudget | None = None,
-                 compiled: bool | str = True, check: bool = True,
+                 compiled: bool = True, check: bool = True,
                  advisor: "PlanAdvisor | None" = None) -> None:
+        super().__init__(budget, compiled, advisor)
         self.program = program
-        self.budget = budget or EvaluationBudget()
-        self.counters = Counters()
-        self.compiled = coerce_compiled(compiled)
-        #: optional cost-based join-order advisor (repro.datalog.cost)
-        self._advisor = advisor
         if check:
             from repro.datalog.analysis import check_program
             check_program(program, context="seminaive",
                           depth_bounded=self.budget.max_term_depth is not None,
                           counters=self.counters)
-        self._plan_stats = PlanStats()
-        #: id-keyed plan map (see repro.datalog.plan.plan_for)
-        self._plans: dict = {}
         self._idb: set[RelationKey] = program.idb_relations()
 
     def run(self, db: Database) -> Database:
-        """Evaluate to fixpoint in place; returns ``db``."""
+        """Evaluate to fixpoint in place; returns ``db``.
+
+        Round 0 fires every rule against the initial database; each later
+        round joins the previous round's new facts.  A round's delta is a
+        per-relation :class:`Batch`: ``Database.add_batch`` returns the
+        genuinely new facts already transposed, so the next round's delta
+        needs no re-layout.
+        """
         for fact in self.program.facts():
             if db.add_atom(fact.head):
                 self.counters.add("facts_materialized")
@@ -295,41 +281,9 @@ class SemiNaiveEvaluator:
             for position, atom in enumerate(rule.body):
                 rules_by_body[atom.key()].append((rule, position))
 
-        if self.compiled == "batched":
-            iterations = self._run_batched(db, rules, rules_by_body)
-        else:
-            # Round 0: every rule fires against the initial database.
-            delta: dict[RelationKey, list[Fact]] = defaultdict(list)
-            for rule in rules:
-                self._fire(rule, db, None, (), delta)
-
-            iterations = 0
-            while delta:
-                iterations += 1
-                if iterations > self.budget.max_iterations:
-                    raise BudgetExceeded("iterations",
-                                         self.budget.max_iterations)
-                next_delta: dict[RelationKey, list[Fact]] = defaultdict(list)
-                for key, facts in delta.items():
-                    for rule, position in rules_by_body.get(key, ()):
-                        self._fire(rule, db, position, facts, next_delta)
-                delta = next_delta
-        self.counters.add("iterations", iterations)
-        self._plan_stats.flush_into(self.counters)
-        return db
-
-    def _run_batched(self, db: Database, rules: Sequence[Rule],
-                     rules_by_body: dict[RelationKey, list[tuple[Rule, int]]],
-                     ) -> int:
-        """The semi-naive round loop over columnar deltas.
-
-        Each round's delta is a per-relation :class:`Batch`;
-        ``Database.add_batch`` returns the genuinely new facts already
-        transposed, so the next round's delta needs no re-layout.
-        """
         delta: dict[RelationKey, Batch] = {}
         for rule in rules:
-            self._fire_batched(rule, db, None, None, delta)
+            self._fire(rule, db, out_delta=delta)
         iterations = 0
         while delta:
             iterations += 1
@@ -338,46 +292,11 @@ class SemiNaiveEvaluator:
             next_delta: dict[RelationKey, Batch] = {}
             for key, batch in delta.items():
                 for rule, position in rules_by_body.get(key, ()):
-                    self._fire_batched(rule, db, position, batch, next_delta)
+                    self._fire(rule, db, position, batch, next_delta)
             delta = next_delta
-        return iterations
-
-    def _fire_batched(self, rule: Rule, db: Database,
-                      delta_position: int | None, delta: Batch | None,
-                      out_delta: dict[RelationKey, Batch]) -> None:
-        plan = plan_for(self._plans, self._plan_stats, rule, delta_position,
-                        advisor=self._advisor)
-        rows = fire_batched(plan, db, delta, stats=self._plan_stats)
-        if not rows:
-            return
-        self.counters.add("derivations", len(rows))
-        budget = self.budget
-        if budget.max_term_depth is not None:
-            kept: list[Fact] = []
-            prunes = 0
-            for args in rows:
-                if budget.prunes_fact(args):
-                    prunes += 1
-                else:
-                    kept.append(args)
-            if prunes:
-                self.counters.add("pruned_deep_facts", prunes)
-            rows = kept
-        key = plan.head_key
-        fresh = db.add_batch(key, rows)
-        if fresh.length:
-            self.counters.add("facts_materialized", fresh.length)
-            if db.total_facts() > budget.max_facts:
-                raise BudgetExceeded("facts", budget.max_facts)
-            existing = out_delta.get(key)
-            if existing is None:
-                out_delta[key] = fresh
-            else:
-                existing.extend(fresh)
-
-    def flush_stats(self) -> None:
-        """Flush pending plan counters into :attr:`counters` (idempotent)."""
-        self._plan_stats.flush_into(self.counters)
+        self.counters.add("iterations", iterations)
+        self.flush_stats()
+        return db
 
     def answers(self, db: Database, query: Query) -> set[Fact]:
         """Evaluate and return the facts matching the query atom."""
@@ -385,52 +304,3 @@ class SemiNaiveEvaluator:
         self.run(db)
         return select(db, query.atom)
 
-    def _fire(self, rule: Rule, db: Database, delta_position: int | None,
-              delta_facts: Sequence[Fact],
-              out_delta: dict[RelationKey, list[Fact]]) -> None:
-        # Derived heads are buffered and inserted only after the join
-        # completes: inserting mid-join would extend the very fact lists
-        # being iterated and make a single firing run away on recursive
-        # rules with function symbols.
-        if self.compiled:
-            plan = plan_for(self._plans, self._plan_stats, rule, delta_position,
-                        advisor=self._advisor)
-            derived_facts: list[Fact] = []
-            derivations = 0
-            prunes = 0
-            budget = self.budget
-            for slots in plan.bindings(db, delta_facts=delta_facts,
-                                       stats=self._plan_stats):
-                args = plan.head_args(slots)
-                derivations += 1
-                if budget.prunes_fact(args):
-                    prunes += 1
-                    continue
-                derived_facts.append(args)
-            if derivations:
-                self.counters.add("derivations", derivations)
-            if prunes:
-                self.counters.add("pruned_deep_facts", prunes)
-            key = plan.head_key
-            for args in derived_facts:
-                if db.add_ground(key, args):
-                    self.counters.add("facts_materialized")
-                    out_delta[key].append(args)
-                    if db.total_facts() > budget.max_facts:
-                        raise BudgetExceeded("facts", budget.max_facts)
-            return
-        derived: list[Atom] = []
-        for binding in iter_rule_bindings(rule, db, delta_position=delta_position,
-                                          delta_facts=delta_facts):
-            head = derive_head(rule, binding)
-            self.counters.add("derivations")
-            if self.budget.prunes_atom(head):
-                self.counters.add("pruned_deep_facts")
-                continue
-            derived.append(head)
-        for head in derived:
-            if db.add_atom(head):
-                self.counters.add("facts_materialized")
-                out_delta[head.key()].append(head.args)
-                if db.total_facts() > self.budget.max_facts:
-                    raise BudgetExceeded("facts", self.budget.max_facts)

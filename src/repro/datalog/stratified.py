@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.datalog.analysis import (DependencyGraph, check_program,
                                     check_stratification)
 from repro.datalog.database import Database, RelationKey
-from repro.datalog.plan import coerce_compiled
+from repro.datalog.plan import check_compiled
 from repro.datalog.rule import Program
 from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
 from repro.errors import ProgramAnalysisError
@@ -75,11 +75,11 @@ class StratifiedEvaluator:
 
     def __init__(self, program: Program,
                  budget: EvaluationBudget | None = None,
-                 compiled: bool | str = True, check: bool = True) -> None:
+                 compiled: bool = True, check: bool = True) -> None:
         self.program = program
         self.budget = budget or EvaluationBudget()
         self.counters = Counters()
-        self.compiled = coerce_compiled(compiled)
+        self.compiled = check_compiled(compiled)
         if check:
             check_program(program, context="stratified",
                           depth_bounded=self.budget.max_term_depth is not None,

@@ -28,6 +28,7 @@ from repro.datalog.qsq import qsq_evaluate
 from repro.datalog.rule import Query
 from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
 from repro.datalog.naive import select
+from repro.datalog.plan import check_compiled
 from repro.datalog.atom import Atom
 from repro.diagnosis.alarms import AlarmSequence
 from repro.diagnosis.encoding import PLACES, TRANS1, TRANS2, node_id_of_term
@@ -103,7 +104,7 @@ class DatalogDiagnosisEngine:
                  budget: EvaluationBudget | None = None,
                  options: NetworkOptions | None = None,
                  use_termination_detector: bool = False,
-                 compiled: bool | str = True,
+                 compiled: bool = True,
                  transport: "str | TransportRuntime" = "sim",
                  mp_config: object = None,
                  cost_budget: "CostBudget | None" = None) -> None:
@@ -117,9 +118,8 @@ class DatalogDiagnosisEngine:
         self.options = options or NetworkOptions()
         self.use_termination_detector = use_termination_detector
         #: the evaluation tier: False = reference interpreter
-        #: (`iter_rule_bindings`), True = tuple-at-a-time compiled plans,
-        #: "batched" = columnar batch kernels -- the benchmark knob
-        self.compiled = compiled
+        #: (`iter_rule_bindings`), True = generated join kernels
+        self.compiled = check_compiled(compiled)
         #: transport substrate for the dqsq path ("sim", "mp", or a
         #: ready TransportRuntime); centralized modes evaluate locally
         #: and ignore it

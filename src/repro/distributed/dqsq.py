@@ -35,6 +35,7 @@ from repro.datalog.adornment import Adornment, adorned_name, input_name
 from repro.datalog.atom import Atom, Inequality
 from repro.datalog.database import Database, Fact, RelationKey
 from repro.datalog.naive import select
+from repro.datalog.plan import check_compiled
 from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.seminaive import EvaluationBudget, IncrementalEvaluator
 from repro.datalog.term import Var, variables_of
@@ -90,12 +91,11 @@ class _DqsqPeer:
     def __init__(self, name: str, rules: Sequence[Rule],
                  budget: EvaluationBudget,
                  detector: DijkstraScholten | None = None,
-                 compiled: bool | str = True) -> None:
+                 compiled: bool = True) -> None:
         self.name = name
         self.source_rules = Program(rules)
         self.db = Database()
         self.budget = budget
-        self._compiled = compiled
         self.evaluator = IncrementalEvaluator(self.db, budget, compiled=compiled)
         self.detector = detector
         self.counters = Counters()
@@ -505,7 +505,7 @@ class DqsqResult:
 
 def _build_dqsq_peer(*, name: str, detector: DijkstraScholten | None,
                      rules: tuple[Rule, ...], budget: EvaluationBudget,
-                     compiled: bool | str,
+                     compiled: bool,
                      facts: dict[RelationKey, list[Fact]]) -> _DqsqPeer:
     """Module-level peer factory (picklable, so the multiprocessing
     transport can build the peer inside its worker process)."""
@@ -545,14 +545,14 @@ class DqsqEngine:
                  budget: EvaluationBudget | None = None,
                  options: NetworkOptions | None = None,
                  use_termination_detector: bool = False,
-                 compiled: bool | str = True, check: bool = True,
+                 compiled: bool = True, check: bool = True,
                  transport: str | TransportRuntime = "sim",
                  mp_config: Any = None) -> None:
         self.program = program
         self.budget = budget or EvaluationBudget()
         self.options = options or NetworkOptions()
         self.use_termination_detector = use_termination_detector
-        self.compiled = compiled
+        self.compiled = check_compiled(compiled)
         self.transport = transport
         self.mp_config = mp_config
         self._edb = edb or Database()

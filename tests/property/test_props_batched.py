@@ -1,12 +1,12 @@
-"""Property-based tests: the three evaluation tiers agree.
+"""Property-based tests: the two evaluation tiers agree.
 
 Random stratified programs (random EDBs, randomly selected rule
 subsets, including negation in a later stratum) must reach identical
-fixpoints under the reference interpreter (``compiled=False``), the
-tuple-at-a-time compiled plans (``compiled=True``) and the columnar
-batch kernels (``compiled="batched"``).  A second property pins the mp
-worker path: programs that cross a pickle boundary re-intern and then
-batch-evaluate to the same fixpoint as the originals.
+fixpoints under the reference interpreter (``compiled=False``) and the
+generated columnar join kernels (``compiled=True``).  A second property
+pins the mp worker path: programs that cross a pickle boundary
+re-intern and then kernel-evaluate to the same fixpoint as the
+originals.
 """
 
 import pickle
@@ -18,7 +18,7 @@ from repro.datalog import (Database, Query, SemiNaiveEvaluator, parse_atom,
 from repro.datalog.stratified import StratifiedEvaluator
 from repro.datalog.term import Const
 
-TIERS = (False, True, "batched")
+TIERS = (False, True)
 
 NODES = [f"n{i}" for i in range(6)]
 
@@ -79,7 +79,7 @@ class TestTiersAgree:
             db = database_from(edge_list)
             StratifiedEvaluator(program, compiled=compiled).run(db)
             fixpoints.append(snapshot(db))
-        assert fixpoints[0] == fixpoints[1] == fixpoints[2]
+        assert fixpoints[0] == fixpoints[1]
 
     @settings(max_examples=25, deadline=None)
     @given(edges, st.sampled_from(NODES))
@@ -91,13 +91,13 @@ class TestTiersAgree:
             db = database_from(edge_list)
             answer_sets.append(
                 qsq_evaluate(program, query, db, compiled=compiled).answers)
-        assert answer_sets[0] == answer_sets[1] == answer_sets[2]
+        assert answer_sets[0] == answer_sets[1]
 
     @settings(max_examples=20, deadline=None)
     @given(edges, rule_subsets)
     def test_pickled_program_batches_identically(self, edge_list, subsets):
         # The forked-worker path: the program round-trips through
-        # pickle (terms re-intern via __reduce__), then the batched
+        # pickle (terms re-intern via __reduce__), then the kernel
         # tier must compute the same fixpoint from the clone.
         positive, negative = subsets
         text = BASE_RULES + "\n".join(positive) + "\n" + "\n".join(negative)
@@ -107,7 +107,7 @@ class TestTiersAgree:
         db = database_from(edge_list)
         StratifiedEvaluator(program, compiled=False).run(db)
         db_clone = database_from(edge_list)
-        StratifiedEvaluator(clone, compiled="batched").run(db_clone)
+        StratifiedEvaluator(clone, compiled=True).run(db_clone)
         assert snapshot(db) == snapshot(db_clone)
 
     @settings(max_examples=25, deadline=None)
@@ -119,7 +119,7 @@ class TestTiersAgree:
         path(X, Y) :- edge(X, Z), path(Z, Y).
         """)
         db = database_from(edge_list)
-        SemiNaiveEvaluator(program, compiled="batched").run(db)
+        SemiNaiveEvaluator(program, compiled=True).run(db)
 
         reach = {n: set() for n in NODES}
         for source, target in edge_list:

@@ -1,15 +1,14 @@
-"""The batched columnar tier vs the other two, on every engine.
+"""The generated join kernels vs the reference interpreter, on every engine.
 
-``compiled="batched"`` (:mod:`repro.datalog.batch`) must be a pure
-performance change, exactly like the tuple-at-a-time compiled tier
-before it: identical models, answers, derivation counts and diagnosis
-sets on every engine and every program.  These tests sweep all three
-tiers together so a divergence names the tier that broke.
+``compiled=True`` (:mod:`repro.datalog.batch`) must be a pure
+performance change over ``compiled=False``: identical models, answers,
+derivation counts and diagnosis sets on every engine and every program.
 
 The same file pins the satellites that ride on the kernel: the bounded
-LRU plan cache (eviction recompiles, never changes answers), batch
-handling of zero-arity relations, pickled programs re-interning before
-batched evaluation (the mp worker path), and the invalid-tier error.
+LRU plan cache (eviction recompiles, never changes answers), the
+shape-keyed kernel code cache, batch handling of zero-arity relations,
+pickled programs re-interning before kernel evaluation (the mp worker
+path), and the invalid-tier error.
 """
 
 import pickle
@@ -19,11 +18,12 @@ import pytest
 import repro
 from repro.datalog import (Database, NaiveEvaluator, Query,
                            SemiNaiveEvaluator, parse_atom, parse_program)
-from repro.datalog.batch import Batch
+from repro.datalog.batch import Batch, fire_batched
 from repro.datalog.magic import magic_evaluate
 from repro.datalog.naive import load_facts, select
-from repro.datalog.plan import (clear_plan_cache, coerce_compiled,
-                                plan_cache_evictions, set_plan_cache_limit)
+from repro.datalog.plan import (PlanStats, check_compiled, clear_plan_cache,
+                                compile_join_plan, plan_cache_evictions,
+                                set_plan_cache_limit)
 from repro.datalog.qsq import qsq_evaluate
 from repro.datalog.qsqr import qsqr_evaluate
 from repro.datalog.seminaive import EvaluationBudget, IncrementalEvaluator
@@ -33,7 +33,7 @@ from repro.diagnosis import DatalogDiagnosisEngine
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
 from repro.workloads.alarmgen import AlarmSequence
 
-TIERS = (False, True, "batched")
+TIERS = (False, True)
 
 FIGURE3 = """
 r@r(X, Y) :- a@r(X, Y).
@@ -85,7 +85,7 @@ def snapshot(db):
 def per_tier(run):
     """Run ``run(compiled)`` for every tier and assert all agree."""
     results = {tier: run(tier) for tier in TIERS}
-    assert results[False] == results[True] == results["batched"]
+    assert results[False] == results[True]
     return results[False]
 
 
@@ -206,27 +206,92 @@ class TestDiagnosisEquivalence:
         alarms = AlarmSequence(figure1_alarm_scenarios()["bca"])
         oracle = repro.diagnose(petri, alarms, method="qsq",
                                 config=repro.RunConfig(compiled=False))
-        batched = repro.diagnose(petri, alarms, method="qsq",
-                                 config=repro.RunConfig(compiled="batched"))
-        assert set(batched.diagnoses) == set(oracle.diagnoses)
+        kernels = repro.diagnose(petri, alarms, method="qsq",
+                                 config=repro.RunConfig(compiled=True))
+        assert set(kernels.diagnoses) == set(oracle.diagnoses)
 
 
 class TestInvalidTier:
     def test_coerce_rejects_unknown_strings(self):
-        with pytest.raises(ValueError, match="batched"):
-            coerce_compiled("vectorized")
+        for value in ("vectorized", "batched", 1, None):
+            with pytest.raises(ValueError, match="True or False"):
+                check_compiled(value)
 
     def test_engines_reject_unknown_tier(self):
         program = parse_program(FIGURE3)
-        with pytest.raises(ValueError):
-            SemiNaiveEvaluator(program, compiled="jit")
-        with pytest.raises(ValueError):
-            StratifiedEvaluator(program, compiled="jit")
+        petri = figure1_net()
+        for tier in ("jit", "batched"):
+            with pytest.raises(ValueError):
+                SemiNaiveEvaluator(program, compiled=tier)
+            with pytest.raises(ValueError):
+                StratifiedEvaluator(program, compiled=tier)
+            with pytest.raises(ValueError):
+                NaiveEvaluator(program, compiled=tier)
+            with pytest.raises(ValueError):
+                qsqr_evaluate(program, Query(parse_atom('r@r("1", Y)')),
+                              compiled=tier)
+            with pytest.raises(ValueError):
+                IncrementalEvaluator(Database(), compiled=tier)
+            with pytest.raises(ValueError):
+                DatalogDiagnosisEngine(petri, compiled=tier)
+            with pytest.raises(ValueError):
+                repro.RunConfig(compiled=tier)
 
     def test_valid_tiers_pass_through(self):
-        assert coerce_compiled(False) is False
-        assert coerce_compiled(True) is True
-        assert coerce_compiled("batched") == "batched"
+        program = parse_program(FIGURE3)
+        for tier in (False, True):
+            assert check_compiled(tier) is tier
+            assert SemiNaiveEvaluator(program, compiled=tier).compiled is tier
+            assert repro.RunConfig(compiled=tier).compiled is tier
+
+
+class TestKernelCodeSharing:
+    SHAPES = """
+    p(X) :- e(X, "a").
+    q(X) :- f(X, "b").
+    e("1", "a"). e("2", "b").
+    f("3", "a"). f("4", "b").
+    """
+
+    def test_same_shape_rules_share_one_code_object(self):
+        clear_plan_cache()
+        program = parse_program(self.SHAPES)
+        db = load_facts(program)
+        stats = PlanStats()
+        first, second = (compile_join_plan(rule)
+                         for rule in program.proper_rules())
+        p_rows = fire_batched(first, db, None, stats=stats)
+        q_rows = fire_batched(second, db, None, stats=stats)
+        assert first.batched_kernel is not second.batched_kernel
+        assert first.batched_kernel.__code__ is second.batched_kernel.__code__
+        assert stats.shape_hits == 1
+        # each closure keeps its own relation keys and constants
+        assert p_rows == [(Const("1"),)]
+        assert q_rows == [(Const("4"),)]
+
+    def test_evaluator_counts_shape_hits_and_derives_separately(self):
+        clear_plan_cache()
+        program = parse_program(self.SHAPES)
+        db = load_facts(program)
+        evaluator = SemiNaiveEvaluator(program)
+        evaluator.run(db)
+        assert evaluator.counters["plan.shape_hits"] == 1
+        assert set(db.facts(("p", None))) == {(Const("1"),)}
+        assert set(db.facts(("q", None))) == {(Const("4"),)}
+
+    def test_clear_plan_cache_empties_the_code_cache(self):
+        program = parse_program(self.SHAPES)
+        rule = next(program.proper_rules())
+        clear_plan_cache()
+        warm = PlanStats()
+        fire_batched(compile_join_plan(rule), Database(), None, stats=warm)
+        fire_batched(compile_join_plan(rule, order=(0,)), Database(), None,
+                     stats=warm)
+        assert warm.shape_hits == 1
+        clear_plan_cache()
+        cold = PlanStats()
+        fire_batched(compile_join_plan(rule), Database(), None, stats=cold)
+        assert cold.shape_hits == 0
 
 
 class TestLruPlanCache:
@@ -235,21 +300,16 @@ class TestLruPlanCache:
         # distinct rules than slots: every firing beyond the cap
         # recompiles, and the model must not notice.
         program = parse_program(FIGURE3)
-        reference = {}
-        for compiled in (True, "batched"):
-            db = Database()
-            SemiNaiveEvaluator(program, compiled=compiled).run(db)
-            reference[compiled] = snapshot(db)
+        reference = Database()
+        SemiNaiveEvaluator(program).run(reference)
 
         previous = set_plan_cache_limit(2)
         try:
             clear_plan_cache()
             before = plan_cache_evictions()
-            for compiled in (True, "batched"):
-                db = Database()
-                evaluator = SemiNaiveEvaluator(program, compiled=compiled)
-                evaluator.run(db)
-                assert snapshot(db) == reference[compiled]
+            db = Database()
+            SemiNaiveEvaluator(program).run(db)
+            assert snapshot(db) == snapshot(reference)
             assert plan_cache_evictions() > before
         finally:
             set_plan_cache_limit(previous)
@@ -315,8 +375,8 @@ class TestPickledProgramsBatchCleanly:
                        zip(original.head.args, copied.head.args))
 
         db_original, db_clone = Database(), Database()
-        SemiNaiveEvaluator(program, compiled="batched").run(db_original)
-        SemiNaiveEvaluator(clone, compiled="batched").run(db_clone)
+        SemiNaiveEvaluator(program, compiled=True).run(db_original)
+        SemiNaiveEvaluator(clone, compiled=True).run(db_clone)
         assert snapshot(db_original) == snapshot(db_clone)
 
     def test_batched_facts_interoperate_with_pickled_tuples(self):

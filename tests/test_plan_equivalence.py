@@ -1,7 +1,7 @@
-"""Compiled join plans vs the reference interpreter, plus term interning.
+"""Generated join kernels vs the reference interpreter, plus term interning.
 
-The compiled path (:mod:`repro.datalog.plan`) must be a pure
-performance change: on every engine and every program it computes the
+The compiled path (:mod:`repro.datalog.plan` plans run as
+:mod:`repro.datalog.batch` kernels) must be a pure performance change: on every engine and every program it computes the
 same model, the same answers and the same diagnoses as the interpreted
 ``iter_rule_bindings`` path it replaces.  These tests pin that on the
 paper's running examples (Figure 1 scenarios, the Figure 3 program and
