@@ -5,15 +5,17 @@ argument positions are bound (Section 3.1, "Binding Patterns").  The
 top-down, left-to-right reading of a rule determines how bindings
 propagate: a position is bound when every variable of its argument term
 is already bound (constants and ground function terms are always bound).
+The same walk decides where each inequality is checked: at the earliest
+point where all of its variables are bound.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.datalog.atom import Atom
+from repro.datalog.atom import Atom, Inequality
 from repro.datalog.rule import Program
-from repro.datalog.term import Term, Var, variables_of
+from repro.datalog.term import Term, Var, first_occurrences, variables_of
 
 
 class Adornment:
@@ -112,7 +114,7 @@ def adorn_program(program: Program, query_atom: Atom) -> list[tuple[str, str | N
         for rule in program.rules_for(relation, peer):
             if rule.is_fact():
                 continue
-            bound = _bound_head_vars(rule.head, adornment)
+            bound = set(bound_head_vars(rule.head, adornment))
             for atom in rule.body:
                 key = atom.key()
                 body_adornment = Adornment.from_atom(atom, bound)
@@ -124,9 +126,32 @@ def adorn_program(program: Program, query_atom: Atom) -> list[tuple[str, str | N
     return order
 
 
-def _bound_head_vars(head: Atom, adornment: Adornment) -> set[Var]:
-    """Variables bound by unifying a ground demand with the head's bound args."""
+def bound_head_vars(head: Atom, adornment: Adornment) -> tuple[Var, ...]:
+    """Variables bound by unifying a ground demand with the head's bound
+    arguments, in the order they first appear in the head."""
     bound: set[Var] = set()
     for position in adornment.bound_positions():
         bound.update(variables_of(head.args[position]))
-    return bound
+    return tuple(v for v in first_occurrences(head.variables()) if v in bound)
+
+
+def place_inequalities(inequalities: Iterable[Inequality], bound: Iterable[Var],
+                       atoms: Sequence[Atom]) -> list[tuple[Inequality, ...]]:
+    """Attach each inequality to the earliest point where it is ground.
+
+    Entry 0 holds the inequalities decidable from ``bound`` alone; entry
+    ``k + 1`` those that become ground once ``atoms[k]`` is matched.  Rule
+    safety guarantees every inequality of a rule lands somewhere.
+    """
+    remaining = list(inequalities)
+    if not remaining:
+        return [()] * (len(atoms) + 1)
+    available = set(bound)
+    placement: list[tuple[Inequality, ...]] = []
+    for k in range(len(atoms) + 1):
+        if k:
+            available.update(atoms[k - 1].variables())
+        here = tuple(c for c in remaining if available.issuperset(c.variables()))
+        remaining = [c for c in remaining if c not in here]
+        placement.append(here)
+    return placement

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.datalog.adornment import Adornment, adorned_name
+from repro.datalog.adornment import (Adornment, adorned_name, bound_head_vars,
+                                     place_inequalities)
 from repro.datalog.atom import Atom
 from repro.datalog.database import Database, Fact
 from repro.datalog.naive import select
-from repro.datalog.qsq import _inequality_positions
 from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
-from repro.datalog.term import Var, variables_of
 from repro.utils.counters import Counters
 
 AdornedKey = tuple[str, str | None, Adornment]
@@ -87,9 +86,7 @@ def _rewrite_rule(rule: Rule, adornment: Adornment, idb: set,
     magic_atom = Atom(magic_name(head.relation, adornment),
                       adornment.select_bound(head.args), head.peer)
 
-    bound: set[Var] = set()
-    for position in adornment.bound_positions():
-        bound.update(variables_of(head.args[position]))
+    bound = bound_head_vars(head, adornment)
 
     if not rule.body:
         out.add(Rule(Atom(adorned_name(head.relation, adornment), head.args, head.peer),
@@ -97,7 +94,7 @@ def _rewrite_rule(rule: Rule, adornment: Adornment, idb: set,
         return []
 
     demanded: list[AdornedKey] = []
-    ineq_position = _inequality_positions(rule, bound)
+    placement = place_inequalities(rule.inequalities, bound, rule.body)
 
     # The guarded answer rule: magic guard + adorned body.
     available = set(bound)
@@ -120,8 +117,7 @@ def _rewrite_rule(rule: Rule, adornment: Adornment, idb: set,
         body_adornment = Adornment.from_atom(body_atom, available)
         if body_atom.key() in idb:
             demand_args = body_adornment.select_bound(body_atom.args)
-            prefix_inequalities = [c for pos, constraints in ineq_position.items()
-                                   if -1 <= pos < j for c in constraints]
+            prefix_inequalities = [c for here in placement[:j + 1] for c in here]
             out.add(Rule(Atom(magic_name(body_atom.relation, body_adornment),
                               demand_args, body_atom.peer),
                          list(prefix), prefix_inequalities))

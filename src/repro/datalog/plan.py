@@ -19,8 +19,9 @@ generates the rule's join kernel:
 * the body is **reordered most-bound-first** (greedy, ties broken by the
   written order); the semi-naive delta atom is pinned first;
 * the **inequality schedule is baked in** at compile time (the earliest
-  step after which both sides are ground), as are the negated-atom
-  checks and the head-tuple builders.
+  step after which both sides are ground, by the same
+  :func:`~repro.datalog.adornment.place_inequalities` the QSQ rewriting
+  uses), as are the negated-atom checks and the head-tuple builders.
 
 Plans are cached per ``(rule, delta_position, order)`` -- ``order`` is
 ``None`` for the greedy default and an explicit permutation when a
@@ -36,17 +37,22 @@ kernels; ``compiled=False`` runs the interpreter, which is kept as the
 executable specification, and the property suite asserts bit-identical
 models between the two.  :class:`QsqrRulePlan` at the end of the module
 is QSQR's own (non-reordered) plan, run tuple at a time by
-:mod:`repro.datalog.qsqr`.
+:mod:`repro.datalog.qsqr`.  Both plans compile each body atom with the
+one per-atom step ``_compile_atom`` (scan ops, index probe positions and
+values, residual ops).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from types import CodeType
 from typing import TYPE_CHECKING, Sequence
 
+from repro.datalog.adornment import Adornment, place_inequalities
+from repro.datalog.atom import Atom, Inequality
 from repro.datalog.rule import Rule
-from repro.datalog.term import Func, Term, Var, variables_of
+from repro.datalog.term import Func, Term, Var, first_occurrences, variables_of
 from repro.utils.counters import Counters
 
 if TYPE_CHECKING:
@@ -265,60 +271,22 @@ class JoinPlan:
 
         # Schedule inequalities at the earliest execution step where both
         # sides are ground; variable-free constraints run once up front.
-        remaining = [c for c in rule.inequalities]
-        pre = [c for c in remaining if not set(c.variables())]
-        remaining = [c for c in remaining if c not in pre]
-        self.pre_checks = tuple(
-            (compile_builder(c.left, slot_of), compile_builder(c.right, slot_of))
-            for c in pre)
+        placement = place_inequalities(rule.inequalities, (),
+                                       [rule.body[p] for p in order])
+        self.pre_checks = _compile_ineqs(placement[0], slot_of)
 
         steps: list[JoinStep] = []
         bound: set[Var] = set()
-        for position in order:
+        for k, position in enumerate(order):
             atom = rule.body[position]
             use_delta = (position == delta_position)
-            entry_bound = set(bound)
-            seen = set(bound)
-            scan_ops: list[tuple] = []
-            indexable: dict[int, tuple] = {}
-            for i, arg in enumerate(atom.args):
-                op = compile_term_match(arg, slot_of, seen)
-                kind = op[0]
-                if kind == "w":
-                    scan_ops.append(("store", i, op[1]))
-                elif kind == "s":
-                    scan_ops.append(("check", i, op[1]))
-                elif kind == "c":
-                    scan_ops.append(("const", i, op[1]))
-                else:
-                    scan_ops.append(("match", i, op))
-                # A position is usable for the index probe only when its
-                # value is computable *before* iterating this atom's
-                # facts: ground, or built from variables bound by earlier
-                # steps.  A variable's repeat occurrence within the same
-                # atom does NOT qualify -- its slot is written by the very
-                # fact being probed for.
-                if _arg_bound(arg, entry_bound):
-                    indexable[i] = compile_builder(arg, slot_of)
-            if use_delta or not indexable:
-                index_positions: tuple[int, ...] = ()
-                index_values: tuple = ()
-                residual_ops = tuple(scan_ops)
-            else:
-                index_positions = tuple(sorted(indexable))
-                index_values = tuple(indexable[i] for i in index_positions)
-                residual_ops = tuple(op for op in scan_ops
-                                     if op[1] not in indexable)
-            bound = seen
-            here = [c for c in remaining if set(c.variables()) <= bound]
-            remaining = [c for c in remaining if c not in here]
+            scan_ops, residual_ops, index_positions, index_values, bound = (
+                _compile_atom(atom, slot_of, bound, probe=not use_delta))
             steps.append(JoinStep(
                 position=position, key=atom.key(), use_delta=use_delta,
-                scan_ops=tuple(scan_ops), residual_ops=residual_ops,
+                scan_ops=scan_ops, residual_ops=residual_ops,
                 index_positions=index_positions, index_values=index_values,
-                ineqs=tuple((compile_builder(c.left, slot_of),
-                             compile_builder(c.right, slot_of)) for c in here)))
-        # Rule validation guarantees ``remaining`` is empty here.
+                ineqs=_compile_ineqs(placement[k + 1], slot_of)))
         self.steps = tuple(steps)
 
         self.negated = tuple(
@@ -344,6 +312,50 @@ def _arg_bound(arg: Term, bound: set[Var]) -> bool:
     if arg._ground:
         return True
     return all(v in bound for v in variables_of(arg))
+
+
+def _compile_atom(atom: Atom, slot_of: dict[Var, int], bound: set[Var],
+                  probe: bool) -> tuple[tuple, tuple, tuple[int, ...], tuple, set[Var]]:
+    """Compile one body atom, matched after the variables ``bound``.
+
+    Returns its scan ops, then -- when ``probe`` allows an index probe
+    and some position is indexable -- the ops left over after the probe,
+    the probe positions and their value builders (else the scan ops and
+    two empty tuples), and finally the variables bound after the atom.
+    """
+    seen = set(bound)
+    scan_ops: list[tuple] = []
+    indexable: dict[int, tuple] = {}
+    for i, arg in enumerate(atom.args):
+        op = compile_term_match(arg, slot_of, seen)
+        kind = op[0]
+        if kind == "w":
+            scan_ops.append(("store", i, op[1]))
+        elif kind == "s":
+            scan_ops.append(("check", i, op[1]))
+        elif kind == "c":
+            scan_ops.append(("const", i, op[1]))
+        else:
+            scan_ops.append(("match", i, op))
+        # A position is usable for the index probe only when its value is
+        # computable *before* iterating this atom's facts: ground, or built
+        # from variables bound by earlier steps.  A variable's repeat
+        # occurrence within the same atom does NOT qualify -- its slot is
+        # written by the very fact being probed for.
+        if probe and _arg_bound(arg, bound):
+            indexable[i] = compile_builder(arg, slot_of)
+    ops = tuple(scan_ops)
+    if not indexable:
+        return ops, ops, (), (), seen
+    positions = tuple(sorted(indexable))
+    return (ops, tuple(op for op in ops if op[1] not in indexable), positions,
+            tuple(indexable[i] for i in positions), seen)
+
+
+def _compile_ineqs(inequalities: Sequence[Inequality],
+                   slot_of: dict[Var, int]) -> tuple:
+    return tuple((compile_builder(c.left, slot_of), compile_builder(c.right, slot_of))
+                 for c in inequalities)
 
 
 def _order_body(rule: Rule, delta_position: int | None) -> list[int]:
@@ -571,17 +583,9 @@ class QsqrRulePlan:
 
     def __init__(self, rule: Rule, bound_positions: tuple[int, ...],
                  idb: set[RelationKey]) -> None:
-        from repro.datalog.adornment import Adornment
-
         self.rule = rule
-        slot_of: dict[Var, int] = {}
-        for var in rule.head.variables():
-            if var not in slot_of:
-                slot_of[var] = len(slot_of)
-        for atom in rule.body:
-            for var in atom.variables():
-                if var not in slot_of:
-                    slot_of[var] = len(slot_of)
+        slot_of = {var: slot for slot, var in enumerate(first_occurrences(
+            chain(rule.head.variables(), *(atom.variables() for atom in rule.body))))}
         self.nslots = len(slot_of)
 
         seen: set[Var] = set()
@@ -589,36 +593,13 @@ class QsqrRulePlan:
             compile_term_match(rule.head.args[p], slot_of, seen)
             for p in bound_positions)
 
-        remaining = list(rule.inequalities)
-        pre = [c for c in remaining if set(c.variables()) <= seen]
-        remaining = [c for c in remaining if c not in pre]
-        self.pre_checks = tuple(
-            (compile_builder(c.left, slot_of), compile_builder(c.right, slot_of))
-            for c in pre)
+        placement = place_inequalities(rule.inequalities, seen, rule.body)
+        self.pre_checks = _compile_ineqs(placement[0], slot_of)
 
         steps: list[QsqrStep] = []
-        bound = set(seen)
-        for atom in rule.body:
+        bound = seen
+        for k, atom in enumerate(rule.body):
             is_idb = atom.key() in idb
-            entry_bound = set(bound)
-            step_seen = set(bound)
-            scan_ops: list[tuple] = []
-            indexable: dict[int, tuple] = {}
-            for i, arg in enumerate(atom.args):
-                op = compile_term_match(arg, slot_of, step_seen)
-                kind = op[0]
-                if kind == "w":
-                    scan_ops.append(("store", i, op[1]))
-                elif kind == "s":
-                    scan_ops.append(("check", i, op[1]))
-                elif kind == "c":
-                    scan_ops.append(("const", i, op[1]))
-                else:
-                    scan_ops.append(("match", i, op))
-                # see JoinPlan: probe values must be computable at step
-                # entry, so within-atom repeats do not qualify
-                if _arg_bound(arg, entry_bound):
-                    indexable[i] = compile_builder(arg, slot_of)
             sub_key = None
             demand_builders: tuple = ()
             if is_idb:
@@ -627,29 +608,14 @@ class QsqrRulePlan:
                 demand_builders = tuple(
                     compile_builder(atom.args[p], slot_of)
                     for p in adornment.bound_positions())
-                index_positions: tuple[int, ...] = ()
-                index_values: tuple = ()
-                residual_ops = tuple(scan_ops)
-            elif indexable:
-                index_positions = tuple(sorted(indexable))
-                index_values = tuple(indexable[i] for i in index_positions)
-                residual_ops = tuple(op for op in scan_ops
-                                     if op[1] not in indexable)
-            else:
-                index_positions = ()
-                index_values = ()
-                residual_ops = tuple(scan_ops)
-            bound = step_seen
-            here = [c for c in remaining if set(c.variables()) <= bound]
-            remaining = [c for c in remaining if c not in here]
+            scan_ops, residual_ops, index_positions, index_values, bound = (
+                _compile_atom(atom, slot_of, bound, probe=not is_idb))
             steps.append(QsqrStep(
                 key=atom.key(), is_idb=is_idb, sub_key=sub_key,
-                demand_builders=demand_builders, scan_ops=tuple(scan_ops),
+                demand_builders=demand_builders, scan_ops=scan_ops,
                 residual_ops=residual_ops, index_positions=index_positions,
                 index_values=index_values,
-                ineqs=tuple((compile_builder(c.left, slot_of),
-                             compile_builder(c.right, slot_of))
-                            for c in here)))
+                ineqs=_compile_ineqs(placement[k + 1], slot_of)))
         self.steps = tuple(steps)
         self.head_builders = tuple(compile_builder(a, slot_of)
                                    for a in rule.head.args)

@@ -1,8 +1,7 @@
 """Pretty-printing helpers for programs and rewritings.
 
-Used by the examples and the experiment harness to display rewritten
-programs in the layout of the paper's Figures 4 and 5 (rules grouped by
-original rule / by peer).
+Used by the examples to display rewritten programs in the layout of the
+paper's Figure 4 (rules grouped by head relation).
 """
 
 from __future__ import annotations
@@ -10,19 +9,6 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.datalog.rule import Program
-
-
-def program_by_peer(program: Program) -> str:
-    """Render a dDatalog program grouped by the peer of the rule head."""
-    groups: dict[str, list[str]] = defaultdict(list)
-    for rule in program:
-        peer = rule.head.peer or "(local)"
-        groups[peer].append(str(rule))
-    lines: list[str] = []
-    for peer in sorted(groups):
-        lines.append(f"--- peer {peer} ---")
-        lines.extend(groups[peer])
-    return "\n".join(lines)
 
 
 def program_by_relation(program: Program) -> str:
@@ -36,12 +22,3 @@ def program_by_relation(program: Program) -> str:
         lines.extend(groups[relation])
     return "\n".join(lines)
 
-
-def summarize_program(program: Program) -> str:
-    """One-line structural summary: rule, fact and relation counts."""
-    facts = sum(1 for _ in program.facts())
-    rules = len(program) - facts
-    relations = len(program.all_relations())
-    peers = sorted(program.peers())
-    peer_note = f", peers={','.join(peers)}" if peers else ""
-    return f"{rules} rules, {facts} facts, {relations} relations{peer_note}"

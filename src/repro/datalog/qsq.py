@@ -16,26 +16,41 @@ portion of each relation, and -- unlike plain Datalog -- stays finite on
 function-symbol programs whenever the demanded portion is finite
 (Proposition 1 instantiates this for the diagnosis program).
 
-The construction below generalizes the textbook one to function terms in
+The construction generalizes the textbook one to function terms in
 heads and bodies: a bound head position whose argument is a function term
 binds all the term's variables (the demand tuple is ground, so matching
 it against the pattern instantiates them).
+
+:func:`rewrite_rule` and :func:`resume_rule` are the one per-rule
+construction, shared with dQSQ (:mod:`repro.distributed.dqsq`).  They walk
+a rule's body left to right and fix every supplementary schema by one
+column rule: ``sup_0`` keeps the bound head variables in head order;
+each later ``sup_j`` keeps the still-needed columns of ``sup_{j-1}``,
+then the variables body atom ``j`` binds first, in argument order.  The
+walk stops at the first atom a caller-supplied predicate marks remote
+and returns the rest of the rule as a :class:`Remainder` -- dQSQ's rule
+(†).  Centralized QSQ never stops it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import Callable, Collection, Sequence, cast
 
-from repro.datalog.adornment import Adornment, adorned_name, input_name
+from repro.datalog.adornment import (Adornment, adorned_name, bound_head_vars,
+                                     input_name, place_inequalities)
 from repro.datalog.atom import Atom, Inequality
 from repro.datalog.database import Database, Fact, RelationKey
 from repro.datalog.naive import select
 from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
-from repro.datalog.term import Var, variables_of
+from repro.datalog.term import Var, first_occurrences
 from repro.utils.counters import Counters
 
 AdornedKey = tuple[str, str | None, Adornment]
+#: names a supplementary relation: (chain position, columns) -> its atom
+SupNamer = Callable[[int, tuple[Var, ...]], Atom]
 
 
 @dataclass
@@ -105,124 +120,136 @@ def qsq_rewrite(program: Program, query: Query) -> QsqRewriting:
         relation, peer, adornment = entry
         for rule in program.rules_for(relation, peer):
             rule_counter += 1
-            demands = _rewrite_rule(rule, adornment, rule_counter, idb, out, rewriting)
-            for demanded in demands:
-                if demanded not in seen:
-                    agenda.append(demanded)
+            rewritten = rewrite_rule(rule, adornment, idb,
+                                     functools.partial(_figure4_sup, rule_counter))
+            for new_rule in rewritten.rules:
+                out.add(new_rule)
+            if rule.body:
+                for j in range(len(rule.body) + 1):
+                    rewriting.sup_index[_figure4_sup_name(rule_counter, j)] = (
+                        rule, adornment, j)
+            agenda.extend(d for d in rewritten.demanded if d not in seen)
     return rewriting
 
 
-def _rewrite_rule(rule: Rule, adornment: Adornment, rule_id: int, idb: set[RelationKey],
-                  out: Program, rewriting: QsqRewriting) -> list[AdornedKey]:
-    """Emit the rewritten rules for one (rule, adornment) pair.
+def _figure4_sup_name(rule_id: int, position: int) -> str:
+    return f"sup_{rule_id}_{position}"
 
-    Returns the adorned IDB relations demanded by the rule body.
+
+def _figure4_sup(rule_id: int, position: int, columns: tuple[Var, ...]) -> Atom:
+    """Figure 4's unlocated ``sup_i_j``."""
+    return Atom(_figure4_sup_name(rule_id, position), columns)
+
+
+@dataclass(frozen=True)
+class Remainder:
+    """The unwalked rest of a rule: everything resuming the walk needs.
+
+    ``sup`` is the last supplementary atom built; joining ``atoms[0]``
+    builds the supplementary relation at chain position ``position``.
+    """
+
+    head: Atom                               #: the adorned answer atom
+    sup: Atom
+    position: int
+    atoms: tuple[Atom, ...]                  #: body atoms still to join
+    inequalities: tuple[Inequality, ...]     #: inequalities not yet checked
+
+
+@dataclass
+class RuleRewriting:
+    """What one walk emitted, and where it stopped."""
+
+    rules: list[Rule]
+    #: adorned IDB relations the emitted demand rules feed
+    demanded: list[AdornedKey]
+    #: the rest of the rule, when the walk stopped at a remote atom
+    remainder: Remainder | None = None
+
+
+def rewrite_rule(rule: Rule, adornment: Adornment, idb: Collection[RelationKey],
+                 sup_atom: SupNamer,
+                 is_remote: Callable[[Atom], bool] | None = None) -> RuleRewriting:
+    """The QSQ rules of ``rule`` under ``adornment``: the ``sup_0`` rule
+    reading the demand, then the walk of :func:`resume_rule`.
+
+    ``idb`` holds the relations to demand (the others are joined as they
+    are); ``sup_atom`` names the supplementary relations.
     """
     head = rule.head
-    in_atom_args = adornment.select_bound(head.args)
-    in_rel = input_name(head.relation, adornment)
-    ans_rel = adorned_name(head.relation, adornment)
-
+    in_atom = Atom(input_name(head.relation, adornment),
+                   adornment.select_bound(head.args), head.peer)
+    answer = Atom(adorned_name(head.relation, adornment), head.args, head.peer)
     if not rule.body:
         # An IDB fact (e.g. the unfolding-roots rules of Section 4.1):
         # answer the demand directly.
-        out.add(Rule(Atom(ans_rel, head.args, head.peer),
-                     [Atom(in_rel, in_atom_args, head.peer)]))
-        return []
+        return RuleRewriting([Rule(answer, [in_atom])], [])
+    bound = bound_head_vars(head, adornment)
+    placement = place_inequalities(rule.inequalities, bound, rule.body)
+    sup0 = sup_atom(0, bound)
+    walk = resume_rule(
+        Remainder(answer, sup0, 1, tuple(rule.body),
+                  tuple(c for here in placement[1:] for c in here)),
+        idb, sup_atom, is_remote)
+    walk.rules.insert(0, Rule(sup0, [in_atom], placement[0]))
+    return walk
 
+
+def resume_rule(remainder: Remainder, idb: Collection[RelationKey],
+                sup_atom: SupNamer,
+                is_remote: Callable[[Atom], bool] | None = None) -> RuleRewriting:
+    """Walk ``remainder`` left to right: per body atom, a demand rule (IDB
+    atoms only) and the join rule building the next supplementary
+    relation, each inequality checked at the first join where it is
+    ground; then the answer rule.  Stops before the first atom
+    ``is_remote`` accepts and returns the rest."""
+    head, atoms = remainder.head, remainder.atoms
+    current = remainder.sup
+    columns = cast("tuple[Var, ...]", current.args)
+    placement = place_inequalities(remainder.inequalities, columns, atoms)
+    # needed[k]: the variables read after the join of atoms[k] -- by the
+    # head, by later atoms, or by inequalities checked at later joins.
+    later = set(head.variables())
+    needed: list[frozenset[Var]] = []
+    for k in range(len(atoms) - 1, -1, -1):
+        needed.append(frozenset(later))
+        later.update(atoms[k].variables())
+        for constraint in placement[k + 1]:
+            later.update(constraint.variables())
+    needed.reverse()
+
+    rules: list[Rule] = []
     demanded: list[AdornedKey] = []
-    bound: set[Var] = set()
-    for position in adornment.bound_positions():
-        bound.update(variables_of(head.args[position]))
-
-    order = _occurrence_order(rule)
-    head_vars = set(head.variables())
-    ineq_position = _inequality_positions(rule, bound)
-
-    def sup_name(j: int) -> str:
-        return f"sup_{rule_id}_{j}"
-
-    def sup_args(available: set[Var], j: int) -> tuple[Var, ...]:
-        needed = set(head_vars)
-        for later_atom in rule.body[j:]:
-            needed.update(later_atom.variables())
-        for pos, constraints in ineq_position.items():
-            if pos >= j:
-                for constraint in constraints:
-                    needed.update(constraint.variables())
-        keep = available & needed
-        return tuple(v for v in order if v in keep)
-
-    # sup_0  <-  the demand.
-    sup0_args = sup_args(bound, 0)
-    out.add(Rule(Atom(sup_name(0), sup0_args),
-                 [Atom(in_rel, in_atom_args, head.peer)],
-                 ineq_position.get(-1, ())))
-    rewriting.sup_index[sup_name(0)] = (rule, adornment, 0)
-
-    available = set(bound)
-    previous = Atom(sup_name(0), sup0_args)
-    for j, body_atom in enumerate(rule.body, start=1):
-        body_adornment = Adornment.from_atom(body_atom, available)
-        if body_atom.key() in idb:
-            # Demand rule: feed the callee's input relation.
-            demand_args = body_adornment.select_bound(body_atom.args)
-            out.add(Rule(Atom(input_name(body_atom.relation, body_adornment),
-                              demand_args, body_atom.peer),
-                         [previous]))
-            demanded.append((body_atom.relation, body_atom.peer, body_adornment))
-            join_atom = Atom(adorned_name(body_atom.relation, body_adornment),
-                             body_atom.args, body_atom.peer)
+    for k, atom in enumerate(atoms):
+        if is_remote is not None and is_remote(atom):
+            return RuleRewriting(rules, demanded, Remainder(
+                head, current, remainder.position + k, atoms[k:],
+                tuple(c for here in placement[k + 1:] for c in here)))
+        if atom.key() in idb:
+            body_adornment = Adornment.from_atom(atom, columns)
+            rules.append(Rule(Atom(input_name(atom.relation, body_adornment),
+                                   body_adornment.select_bound(atom.args), atom.peer),
+                              [current]))
+            demanded.append((atom.relation, atom.peer, body_adornment))
+            join_atom = Atom(adorned_name(atom.relation, body_adornment),
+                             atom.args, atom.peer)
         else:
-            join_atom = body_atom
-        available |= set(body_atom.variables())
-        current = Atom(sup_name(j), sup_args(available, j))
-        out.add(Rule(current, [previous, join_atom], ineq_position.get(j - 1, ())))
-        rewriting.sup_index[sup_name(j)] = (rule, adornment, j)
-        previous = current
-
-    out.add(Rule(Atom(ans_rel, head.args, head.peer), [previous]))
-    return demanded
+            join_atom = atom
+        columns = _sup_columns(columns, atom, needed[k])
+        nxt = sup_atom(remainder.position + k, columns)
+        rules.append(Rule(nxt, [current, join_atom], placement[k + 1]))
+        current = nxt
+    rules.append(Rule(head, [current]))
+    return RuleRewriting(rules, demanded)
 
 
-def _occurrence_order(rule: Rule) -> list[Var]:
-    """Variables of the rule in first-occurrence order (head, then body)."""
-    order: list[Var] = []
-    seen: set[Var] = set()
-    for var in rule.head.variables():
-        if var not in seen:
-            seen.add(var)
-            order.append(var)
-    for atom in rule.body:
-        for var in atom.variables():
-            if var not in seen:
-                seen.add(var)
-                order.append(var)
-    return order
-
-
-def _inequality_positions(rule: Rule,
-                          initially_bound: set[Var]) -> dict[int, tuple[Inequality, ...]]:
-    """Attach each inequality to the earliest body position where it is ground.
-
-    Position ``-1`` means "decidable from the demand alone" (attached to
-    the sup_0 rule); position ``j`` (0-based) means "after matching body
-    atom j" (attached to the sup_{j+1} join rule).
-    """
-    placement: dict[int, list[Inequality]] = {}
-    remaining = list(rule.inequalities)
-    available = set(initially_bound)
-    here = [c for c in remaining if set(c.variables()) <= available]
-    if here:
-        placement[-1] = here
-        remaining = [c for c in remaining if c not in here]
-    for j, atom in enumerate(rule.body):
-        available |= set(atom.variables())
-        here = [c for c in remaining if set(c.variables()) <= available]
-        if here:
-            placement[j] = here
-            remaining = [c for c in remaining if c not in here]
-    return {k: tuple(v) for k, v in placement.items()}
+def _sup_columns(previous: Sequence[Var], atom: Atom,
+                needed: Collection[Var]) -> tuple[Var, ...]:
+    """The column rule: the still-needed columns of the previous
+    supplementary relation, then the variables ``atom`` binds first, in
+    argument order."""
+    return tuple(v for v in first_occurrences((*previous, *atom.variables()))
+                 if v in needed)
 
 
 @dataclass
@@ -246,12 +273,11 @@ class QsqResult:
 
 def qsq_evaluate(program: Program, query: Query, db: Database | None = None,
                  budget: EvaluationBudget | None = None,
-                 in_place: bool = False, compiled: bool = True,
-                 check: bool = True) -> QsqResult:
+                 compiled: bool = True, check: bool = True) -> QsqResult:
     """Rewrite ``program`` for ``query`` and evaluate semi-naively.
 
-    ``db`` holds the EDB facts (program fact-rules are loaded too).  By
-    default the database is copied so the caller's store is untouched.
+    ``db`` holds the EDB facts (program fact-rules are loaded too); it is
+    copied, so the caller's store is untouched.
     """
     if check:
         from repro.datalog.analysis import check_program
@@ -259,7 +285,7 @@ def qsq_evaluate(program: Program, query: Query, db: Database | None = None,
                       depth_bounded=(budget is not None
                                      and budget.max_term_depth is not None))
     rewriting = qsq_rewrite(program, query)
-    work_db = db if (db is not None and in_place) else (db.copy() if db is not None else Database())
+    work_db = db.copy() if db is not None else Database()
     if rewriting.seed is not None:
         work_db.add_atom(rewriting.seed)
     # The rewriting is machine-generated from an already-checked program.

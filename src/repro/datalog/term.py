@@ -175,6 +175,11 @@ def variables_of(term: Term) -> Iterator[Var]:
             yield from variables_of(arg)
 
 
+def first_occurrences(variables: Iterable[Var]) -> tuple[Var, ...]:
+    """``variables`` without repetitions, each at its first occurrence."""
+    return tuple(dict.fromkeys(variables))
+
+
 def substitute(term: Term, binding: Mapping[Var, Term]) -> Term:
     """Apply a substitution to ``term`` (non-recursive on bindings).
 

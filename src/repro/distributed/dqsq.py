@@ -7,6 +7,16 @@ delegates the processing of the remainder of the rule (from the remote
 relation name to the right end of the rule) to the remote peer in
 charge of that relation" (the paper's rule (†)).
 
+The rewriting itself is centralized QSQ's: every peer runs the shared
+per-rule construction of :mod:`repro.datalog.qsq`
+(:func:`~repro.datalog.qsq.rewrite_rule`, and
+:func:`~repro.datalog.qsq.resume_rule` for a received remainder) with
+"atom is not at this peer" as the stop predicate, and ships the returned
+:class:`~repro.datalog.qsq.Remainder` as a ``dqsq-delegate`` message.
+So every supplementary relation has the columns, in the order, that
+centralized QSQ gives it on the local version (Theorem 1's renaming is
+relation names only).
+
 Faithfulness points implemented here:
 
 * every peer rewrites **only its own rules**, lazily, when the first
@@ -29,16 +39,18 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.datalog.adornment import Adornment, adorned_name, input_name
 from repro.datalog.atom import Atom, Inequality
 from repro.datalog.database import Database, Fact, RelationKey
 from repro.datalog.naive import select
 from repro.datalog.plan import check_compiled
+from repro.datalog.qsq import (Remainder, RuleRewriting, SupNamer, resume_rule,
+                               rewrite_rule)
 from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.seminaive import EvaluationBudget, IncrementalEvaluator
-from repro.datalog.term import Var, variables_of
+from repro.datalog.term import Var
 from repro.distributed.ddatalog import DDatalogProgram
 from repro.distributed.network import Message, NetworkOptions
 from repro.distributed.termination import ACK_KIND, DijkstraScholten
@@ -105,15 +117,14 @@ class _DqsqPeer:
         self._dispatch_log_position = 0
         self._demand_log_position = 0
         self._install_log: list[Rule] = []
-        self._idb: set[str] = {rule.head.relation for rule in self.source_rules
-                               if rule.body or rule.negated}
+        self._idb = self.source_rules.idb_relations()
         # Fact rules of relations with no proper rules are plain EDB: load
         # them into the store so joins see them directly (matching the
         # centralized QSQ treatment -- Theorem 1's zeta stays a bijection).
         # Fact rules of relations that *also* have proper rules (e.g. the
         # unfolding roots) answer demands through the rewriting instead.
         for rule in self.source_rules.facts():
-            if rule.head.relation not in self._idb:
+            if rule.head.key() not in self._idb:
                 self.db.add_atom(rule.head)
 
     # -- checkpoint / restore ----------------------------------------------------
@@ -160,7 +171,7 @@ class _DqsqPeer:
         self._install_log = []
         if snapshot is None:
             for rule in self.source_rules.facts():
-                if rule.head.relation not in self._idb:
+                if rule.head.key() not in self._idb:
                     self.db.add_atom(rule.head)
         else:
             for key, tuples in snapshot["facts"].items():
@@ -257,7 +268,7 @@ class _DqsqPeer:
             base, adornment = parsed
             if (base, adornment.pattern) in self.processed:
                 continue
-            if base not in self._idb:
+            if (base, self.name) not in self._idb:
                 # Demand for a relation we hold no rules for: it acts as
                 # an empty relation (EDB facts are joined directly and
                 # never demanded).
@@ -273,90 +284,48 @@ class _DqsqPeer:
                           transport: Transport) -> None:
         """The local QSQ rewriting of this peer's rules for a demand."""
         self.counters.add("rewritings")
-        in_atom_name = input_name(relation, adornment)
-        ans_name = adorned_name(relation, adornment)
         for index, rule in enumerate(self.source_rules.rules_for(relation, self.name)):
             uid = f"{self.name}.{relation}.{adornment}.{index}"
-            head_args = rule.head.args
-            in_args = adornment.select_bound(head_args)
-            if not rule.body:
-                # IDB fact (e.g. an unfolding root): answer demands directly.
-                self._install(Rule(Atom(ans_name, head_args, self.name),
-                                   [Atom(in_atom_name, in_args, self.name)]))
-                continue
-            bound: set[Var] = set()
-            for position in adornment.bound_positions():
-                bound.update(variables_of(head_args[position]))
-            order = _occurrence_order(rule)
-            sup_args = _project(order, bound, rule.body, rule.inequalities,
-                                set(rule.head.variables()))
-            sup0 = sup_relation_name(uid, 0)
-            ground_ineqs = [c for c in rule.inequalities
-                            if set(c.variables()) <= bound]
-            self._install(Rule(Atom(sup0, sup_args, self.name),
-                               [Atom(in_atom_name, in_args, self.name)],
-                               ground_ineqs))
-            pending = tuple(c for c in rule.inequalities if c not in ground_ineqs)
-            head_atom = Atom(ans_name, head_args, self.name)
-            self._continue_segment(uid, 1, head_atom, rule.body, pending,
-                                   sup0, self.name, sup_args, transport)
+            self._apply(uid, rewrite_rule(rule, adornment, self._idb,
+                                          self._sup_namer(uid), self._is_remote),
+                        transport)
 
     def _install_delegation(self, delegation: _Delegation, transport: Transport) -> None:
         self.counters.add("delegations_received")
-        self._continue_segment(delegation.uid, delegation.position,
-                               delegation.head, delegation.atoms,
-                               delegation.inequalities, delegation.sup_name,
-                               delegation.sup_home, delegation.sup_args, transport)
+        remainder = Remainder(
+            head=delegation.head,
+            sup=Atom(delegation.sup_name, delegation.sup_args, delegation.sup_home),
+            position=delegation.position, atoms=delegation.atoms,
+            inequalities=delegation.inequalities)
+        self._apply(delegation.uid,
+                    resume_rule(remainder, self._idb, self._sup_namer(delegation.uid),
+                                self._is_remote),
+                    transport)
 
-    def _continue_segment(self, uid: str, position: int, head: Atom,
-                          atoms: tuple[Atom, ...],
-                          inequalities: tuple[Inequality, ...],
-                          sup_name: str, sup_home: str, sup_args: tuple[Var, ...],
-                          transport: Transport) -> None:
-        """Process body atoms left to right while they are local; delegate
-        the remainder at the first remote atom."""
-        order = _delegation_order(sup_args, atoms)
-        available: set[Var] = set(sup_args)
-        pending = list(inequalities)
-        current = Atom(sup_name, sup_args, sup_home)
-        for offset, atom in enumerate(atoms):
-            if atom.peer != self.name:
-                remainder = _Delegation(
-                    uid=uid, position=position + offset, head=head,
-                    atoms=atoms[offset:], inequalities=tuple(pending),
-                    sup_name=current.relation, sup_home=current.peer or self.name,
-                    sup_args=tuple(current.args),  # type: ignore[arg-type]
-                )
-                self._register_reader((current.relation, current.peer or self.name),
-                                      atom.peer or "", transport)
-                self.counters.add("delegations_sent")
-                self._send(transport, atom.peer or "", KIND_DELEGATE, remainder)
-                return
-            body_adornment = Adornment.from_atom(atom, available)
-            if self._is_local_idb(atom.relation):
-                demand_args = body_adornment.select_bound(atom.args)
-                self._install(Rule(
-                    Atom(input_name(atom.relation, body_adornment), demand_args,
-                         self.name),
-                    [current]))
-                join_atom = Atom(adorned_name(atom.relation, body_adornment),
-                                 atom.args, self.name)
-            else:
-                join_atom = atom
-            available |= set(atom.variables())
-            here = [c for c in pending if set(c.variables()) <= available]
-            pending = [c for c in pending if c not in here]
-            next_args = _project(_delegation_order(sup_args, atoms), available,
-                                 atoms[offset + 1:], tuple(pending),
-                                 set(head.variables()))
-            next_name = sup_relation_name(uid, position + offset)
-            next_atom = Atom(next_name, next_args, self.name)
-            self._install(Rule(next_atom, [current, join_atom], here))
-            current = next_atom
-        self._install(Rule(head, [current]))
+    def _apply(self, uid: str, rewriting: RuleRewriting, transport: Transport) -> None:
+        """Install the walked rules; delegate the remainder, if any, to the
+        peer owning its first atom."""
+        for rule in rewriting.rules:
+            self._install(rule)
+        rest = rewriting.remainder
+        if rest is None:
+            return
+        owner = rest.atoms[0].peer or ""
+        sup_home = rest.sup.peer or self.name
+        self._register_reader((rest.sup.relation, sup_home), owner, transport)
+        self.counters.add("delegations_sent")
+        self._send(transport, owner, KIND_DELEGATE, _Delegation(
+            uid=uid, position=rest.position, head=rest.head, atoms=rest.atoms,
+            inequalities=rest.inequalities, sup_name=rest.sup.relation,
+            sup_home=sup_home,
+            sup_args=rest.sup.args,  # type: ignore[arg-type]
+        ))
 
-    def _is_local_idb(self, relation: str) -> bool:
-        return relation in self._idb
+    def _sup_namer(self, uid: str) -> SupNamer:
+        return functools.partial(_located_sup, uid, self.name)
+
+    def _is_remote(self, atom: Atom) -> bool:
+        return atom.peer != self.name
 
     def _install(self, rule: Rule) -> None:
         if self.evaluator.add_rule(rule):
@@ -418,37 +387,9 @@ class _DqsqPeer:
         transport.send(self.name, recipient, kind, payload)
 
 
-def _occurrence_order(rule: Rule) -> tuple[Var, ...]:
-    return _delegation_order(tuple(rule.head.variables()), rule.body)
-
-
-def _delegation_order(seed: Iterable[Var], atoms: Iterable[Atom]) -> tuple[Var, ...]:
-    """Variables in first-occurrence order (seed vars, then body order)."""
-    order: list[Var] = []
-    seen: set[Var] = set()
-    for var in seed:
-        if var not in seen:
-            seen.add(var)
-            order.append(var)
-    for atom in atoms:
-        for var in atom.variables():
-            if var not in seen:
-                seen.add(var)
-                order.append(var)
-    return tuple(order)
-
-
-def _project(order: Iterable[Var], available: set[Var], later_atoms: Iterable[Atom],
-             later_inequalities: Iterable[Inequality],
-             head_vars: set[Var]) -> tuple[Var, ...]:
-    """Supplementary-relation schema: available vars still needed later."""
-    needed = set(head_vars)
-    for atom in later_atoms:
-        needed.update(atom.variables())
-    for constraint in later_inequalities:
-        needed.update(constraint.variables())
-    keep = available & needed
-    return tuple(v for v in order if v in keep)
+def _located_sup(uid: str, home: str, position: int,
+                 columns: tuple[Var, ...]) -> Atom:
+    return Atom(sup_relation_name(uid, position), columns, home)
 
 
 @dataclass

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.datalog import parse_program
-from repro.datalog.pretty import (program_by_peer, program_by_relation,
-                                  summarize_program)
+from repro.datalog.pretty import program_by_relation
 from repro.diagnosis import AlarmSequence
 from repro.diagnosis.problem import DiagnosisProblem, diagnosis_set
 from repro.petri.examples import figure1_net
@@ -17,29 +16,9 @@ base@s("1", "2").
 
 
 class TestPretty:
-    def test_program_by_peer(self):
-        text = program_by_peer(parse_program(PROGRAM))
-        assert "--- peer r ---" in text
-        assert "--- peer s ---" in text
-        assert text.index("peer r") < text.index("peer s")
-
-    def test_program_by_peer_local(self):
-        text = program_by_peer(parse_program("p(X) :- q(X)."))
-        assert "(local)" in text
-
     def test_program_by_relation(self):
         text = program_by_relation(parse_program(PROGRAM))
         assert "--- r ---" in text and "--- base ---" in text
-
-    def test_summarize(self):
-        summary = summarize_program(parse_program(PROGRAM))
-        assert "2 rules" in summary
-        assert "1 facts" in summary
-        assert "peers=r,s" in summary
-
-    def test_summarize_local(self):
-        summary = summarize_program(parse_program("p(X) :- q(X)."))
-        assert "peers" not in summary
 
 
 class TestProblemHelpers:
