@@ -28,9 +28,12 @@ Plans are cached per ``(rule, delta_position, order)`` -- ``order`` is
 :class:`~repro.datalog.cost.PlanAdvisor` picks the cost-based order
 instead.  Kernel code objects are cached beside them, keyed on the
 generated source text, so every rule of one shape shares one
-``compile()``.  :class:`PlanStats` exposes index hit/miss and
-bindings-explored counts so the perf trajectory is measurable
-(``plan.*`` counters).
+``compile()``; both caches, and the QSQ rewriting memo
+(:func:`bounded_cache`), share one LRU bound.  A plan also lists the
+relations its non-delta steps read (``join_keys``), so the evaluators
+can skip a firing while one of them is empty.  :class:`PlanStats`
+exposes index hit/miss and bindings-explored counts so the perf
+trajectory is measurable (``plan.*`` counters).
 
 There are two evaluation tiers.  ``compiled=True`` runs the generated
 kernels; ``compiled=False`` runs the interpreter, which is kept as the
@@ -180,9 +183,10 @@ class PlanStats:
     """
 
     _FIELDS = ("bindings_explored", "index_hits", "index_misses",
-               "full_scans", "delta_scans", "cache_hits", "cache_misses",
-               "cache_evictions", "shape_hits", "advisor_rules",
-               "advisor_reorders", "advisor_predicted_bindings")
+               "full_scans", "delta_scans", "empty_skips", "cache_hits",
+               "cache_misses", "cache_evictions", "shape_hits",
+               "advisor_rules", "advisor_reorders",
+               "advisor_predicted_bindings")
 
     __slots__ = _FIELDS + ("_flushed",)
 
@@ -192,6 +196,8 @@ class PlanStats:
         self.index_misses = 0
         self.full_scans = 0
         self.delta_scans = 0
+        #: firings skipped because a non-delta body relation was empty
+        self.empty_skips = 0
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
@@ -244,8 +250,8 @@ class JoinStep:
 class JoinPlan:
     """A rule compiled for bottom-up evaluation (optionally delta-restricted)."""
 
-    __slots__ = ("rule", "delta_position", "steps", "pre_checks", "negated",
-                 "head_key", "head_builders", "batched_kernel")
+    __slots__ = ("rule", "delta_position", "steps", "join_keys", "pre_checks",
+                 "negated", "head_key", "head_builders", "batched_kernel")
 
     def __init__(self, rule: Rule, delta_position: int | None = None,
                  order: Sequence[int] | None = None) -> None:
@@ -288,6 +294,10 @@ class JoinPlan:
                 index_positions=index_positions, index_values=index_values,
                 ineqs=_compile_ineqs(placement[k + 1], slot_of)))
         self.steps = tuple(steps)
+        #: the relations the non-delta steps read: while any is empty, a
+        #: firing joins nothing (the evaluators skip it)
+        self.join_keys = tuple(dict.fromkeys(
+            step.key for step in steps if not step.use_delta))
 
         self.negated = tuple(
             (atom.key(), tuple(compile_builder(a, slot_of) for a in atom.args))
@@ -414,6 +424,25 @@ _PLAN_CACHE_EVICTIONS = 0
 #: into the closure environment, so rules that differ only in those
 #: generate the same source and share one ``compile()``
 _KERNEL_CODE: OrderedDict[str, CodeType] = OrderedDict()
+#: the caches besides the plan cache that share its LRU bound and its
+#: clearing: the kernel code cache and those made by :func:`bounded_cache`
+_BOUNDED: list[OrderedDict] = [_KERNEL_CODE]
+
+
+def bounded_cache() -> OrderedDict:
+    """A new LRU map bounded by :func:`set_plan_cache_limit` and emptied
+    by :func:`clear_plan_cache` (fill it with :func:`lru_put`)."""
+    cache: OrderedDict = OrderedDict()
+    _BOUNDED.append(cache)
+    return cache
+
+
+def lru_put(cache: OrderedDict, key: object, value: object) -> None:
+    """Insert into a bounded cache, evicting the least recently used entry
+    when it is full (hits refresh with ``cache.move_to_end``)."""
+    if len(cache) >= _PLAN_CACHE_MAX:
+        cache.popitem(last=False)
+    cache[key] = value
 
 
 def compile_join_plan(rule: Rule, delta_position: int | None = None,
@@ -457,9 +486,7 @@ def kernel_code(source: str, stats: PlanStats | None = None) -> CodeType:
     code = _KERNEL_CODE.get(source)
     if code is None:
         code = compile(source, "<batched-kernel>", "exec")
-        if len(_KERNEL_CODE) >= _PLAN_CACHE_MAX:
-            _KERNEL_CODE.popitem(last=False)
-        _KERNEL_CODE[source] = code
+        lru_put(_KERNEL_CODE, source, code)
     else:
         _KERNEL_CODE.move_to_end(source)
         if stats is not None:
@@ -518,8 +545,10 @@ def plan_cache_evictions() -> int:
 def set_plan_cache_limit(limit: int) -> int:
     """Set the shared cache's LRU capacity; returns the previous limit.
 
-    Mainly a test hook (the eviction regression suite shrinks the cache
-    to force churn); shrinking evicts immediately, oldest first.
+    The kernel code cache and every :func:`bounded_cache` (the QSQ
+    rewriting memo) share it.  Mainly a test hook (the eviction
+    regression suite shrinks the cache to force churn); shrinking evicts
+    immediately, oldest first.
     """
     global _PLAN_CACHE_MAX, _PLAN_CACHE_EVICTIONS
     previous = _PLAN_CACHE_MAX
@@ -527,15 +556,19 @@ def set_plan_cache_limit(limit: int) -> int:
     while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
         _PLAN_CACHE.popitem(last=False)
         _PLAN_CACHE_EVICTIONS += 1
-    while len(_KERNEL_CODE) > _PLAN_CACHE_MAX:
-        _KERNEL_CODE.popitem(last=False)
+    for cache in _BOUNDED:
+        while len(cache) > _PLAN_CACHE_MAX:
+            cache.popitem(last=False)
     return previous
 
 
 def clear_plan_cache() -> None:
-    """Empty the plan cache and the kernel code cache (cold runs stay cold)."""
+    """Empty the plan cache, the kernel code cache and every other
+    :func:`bounded_cache` -- the QSQ rewriting memo among them (cold runs
+    stay cold)."""
     _PLAN_CACHE.clear()
-    _KERNEL_CODE.clear()
+    for cache in _BOUNDED:
+        cache.clear()
 
 
 # -- QSQR rule plans -------------------------------------------------------------

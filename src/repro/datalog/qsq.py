@@ -30,12 +30,21 @@ then the variables body atom ``j`` binds first, in argument order.  The
 walk stops at the first atom a caller-supplied predicate marks remote
 and returns the rest of the rule as a :class:`Remainder` -- dQSQ's rule
 (†).  Centralized QSQ never stops it.
+
+Both are memoized.  A walk reads only the rule (or remainder), the
+adornment, the supplementary namer (a value: :class:`Figure4Sup` here,
+dQSQ's located namer there) and, per body atom, the IDB and remote
+verdicts; that tuple is the memo key.  In the diagnosis program the rules
+barely change between alarm windows, so a later query gets back the very
+``Rule`` objects of the first, and the plan and kernel caches find them
+by identity.  The memo shares the plan cache's LRU bound
+(:func:`~repro.datalog.plan.set_plan_cache_limit`) and is emptied by
+:func:`~repro.datalog.plan.clear_plan_cache`.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Collection, Sequence, cast
 
 from repro.datalog.adornment import (Adornment, adorned_name, bound_head_vars,
@@ -43,6 +52,7 @@ from repro.datalog.adornment import (Adornment, adorned_name, bound_head_vars,
 from repro.datalog.atom import Atom, Inequality
 from repro.datalog.database import Database, Fact, RelationKey
 from repro.datalog.naive import select
+from repro.datalog.plan import bounded_cache, lru_put
 from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
 from repro.datalog.term import Var, first_occurrences
@@ -121,7 +131,7 @@ def qsq_rewrite(program: Program, query: Query) -> QsqRewriting:
         for rule in program.rules_for(relation, peer):
             rule_counter += 1
             rewritten = rewrite_rule(rule, adornment, idb,
-                                     functools.partial(_figure4_sup, rule_counter))
+                                     Figure4Sup(rule_counter))
             for new_rule in rewritten.rules:
                 out.add(new_rule)
             if rule.body:
@@ -136,9 +146,15 @@ def _figure4_sup_name(rule_id: int, position: int) -> str:
     return f"sup_{rule_id}_{position}"
 
 
-def _figure4_sup(rule_id: int, position: int, columns: tuple[Var, ...]) -> Atom:
-    """Figure 4's unlocated ``sup_i_j``."""
-    return Atom(_figure4_sup_name(rule_id, position), columns)
+@dataclass(frozen=True)
+class Figure4Sup:
+    """Figure 4's unlocated ``sup_i_j`` names for rule ``i`` (a value, so
+    it can be part of the rewriting memo's key)."""
+
+    rule_id: int
+
+    def __call__(self, position: int, columns: tuple[Var, ...]) -> Atom:
+        return Atom(_figure4_sup_name(self.rule_id, position), columns)
 
 
 @dataclass(frozen=True)
@@ -167,6 +183,31 @@ class RuleRewriting:
     remainder: Remainder | None = None
 
 
+#: walks per (rule, adornment, namer, verdicts) and per (remainder,
+#: namer, verdicts)
+_WALKS = bounded_cache()
+
+
+def _memoized(key: tuple, walk: Callable[[], RuleRewriting]) -> RuleRewriting:
+    """The memo's copy of ``key``'s walk, in fresh lists: callers mutate
+    what they get."""
+    hit = _WALKS.get(key)
+    if hit is None:
+        hit = walk()
+        lru_put(_WALKS, key, replace(hit, rules=list(hit.rules),
+                                     demanded=list(hit.demanded)))
+        return hit
+    _WALKS.move_to_end(key)
+    return replace(hit, rules=list(hit.rules), demanded=list(hit.demanded))
+
+
+def _verdicts(atoms: Sequence[Atom], idb: Collection[RelationKey],
+              is_remote: Callable[[Atom], bool] | None) -> tuple:
+    """Everything a walk asks of ``idb`` and ``is_remote``."""
+    return (tuple(atom.key() in idb for atom in atoms),
+            None if is_remote is None else tuple(map(is_remote, atoms)))
+
+
 def rewrite_rule(rule: Rule, adornment: Adornment, idb: Collection[RelationKey],
                  sup_atom: SupNamer,
                  is_remote: Callable[[Atom], bool] | None = None) -> RuleRewriting:
@@ -176,6 +217,14 @@ def rewrite_rule(rule: Rule, adornment: Adornment, idb: Collection[RelationKey],
     ``idb`` holds the relations to demand (the others are joined as they
     are); ``sup_atom`` names the supplementary relations.
     """
+    return _memoized(
+        (rule, adornment, sup_atom, _verdicts(rule.body, idb, is_remote)),
+        lambda: _rewrite_rule(rule, adornment, idb, sup_atom, is_remote))
+
+
+def _rewrite_rule(rule: Rule, adornment: Adornment, idb: Collection[RelationKey],
+                  sup_atom: SupNamer,
+                  is_remote: Callable[[Atom], bool] | None) -> RuleRewriting:
     head = rule.head
     in_atom = Atom(input_name(head.relation, adornment),
                    adornment.select_bound(head.args), head.peer)
@@ -187,7 +236,7 @@ def rewrite_rule(rule: Rule, adornment: Adornment, idb: Collection[RelationKey],
     bound = bound_head_vars(head, adornment)
     placement = place_inequalities(rule.inequalities, bound, rule.body)
     sup0 = sup_atom(0, bound)
-    walk = resume_rule(
+    walk = _resume_rule(
         Remainder(answer, sup0, 1, tuple(rule.body),
                   tuple(c for here in placement[1:] for c in here)),
         idb, sup_atom, is_remote)
@@ -203,6 +252,14 @@ def resume_rule(remainder: Remainder, idb: Collection[RelationKey],
     relation, each inequality checked at the first join where it is
     ground; then the answer rule.  Stops before the first atom
     ``is_remote`` accepts and returns the rest."""
+    return _memoized(
+        (remainder, sup_atom, _verdicts(remainder.atoms, idb, is_remote)),
+        lambda: _resume_rule(remainder, idb, sup_atom, is_remote))
+
+
+def _resume_rule(remainder: Remainder, idb: Collection[RelationKey],
+                 sup_atom: SupNamer,
+                 is_remote: Callable[[Atom], bool] | None) -> RuleRewriting:
     head, atoms = remainder.head, remainder.atoms
     current = remainder.sup
     columns = cast("tuple[Var, ...]", current.args)

@@ -12,6 +12,12 @@ Because dDatalog has function symbols, fixpoints may be infinite; the
 :class:`~repro.errors.BudgetExceeded`, or -- in ``prune_depth`` mode --
 terminate with an explicitly truncated model (the Section-4.4 gadget
 "bounding the depth of the unfolding").
+
+On the kernel tier a firing whose join reads an empty relation (a
+non-delta body atom with no facts yet) is skipped before its kernel runs
+or is generated, and counted as ``plan.empty_skips``.  The join would
+have yielded nothing, and a later delta on that relation fires the rule
+at that position, so the fixpoint is unchanged.
 """
 
 from __future__ import annotations
@@ -115,6 +121,13 @@ class BottomUpEvaluator:
         if self.compiled:
             plan = plan_for(self._plans, self._plan_stats, rule,
                             delta_position, advisor=self._advisor)
+            # A join over an empty relation yields nothing: skip it before
+            # its kernel runs (or is generated).  A later delta on that
+            # relation fires the rule at that position.
+            for join_key in plan.join_keys:
+                if not db.facts(join_key):
+                    self._plan_stats.empty_skips += 1
+                    return False
             key = plan.head_key
             rows = fire_batched(plan, db, delta, stats=self._plan_stats)
         else:

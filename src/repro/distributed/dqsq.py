@@ -46,8 +46,7 @@ from repro.datalog.atom import Atom, Inequality
 from repro.datalog.database import Database, Fact, RelationKey
 from repro.datalog.naive import select
 from repro.datalog.plan import check_compiled
-from repro.datalog.qsq import (Remainder, RuleRewriting, SupNamer, resume_rule,
-                               rewrite_rule)
+from repro.datalog.qsq import Remainder, RuleRewriting, resume_rule, rewrite_rule
 from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.seminaive import EvaluationBudget, IncrementalEvaluator
 from repro.datalog.term import Var
@@ -287,7 +286,8 @@ class _DqsqPeer:
         for index, rule in enumerate(self.source_rules.rules_for(relation, self.name)):
             uid = f"{self.name}.{relation}.{adornment}.{index}"
             self._apply(uid, rewrite_rule(rule, adornment, self._idb,
-                                          self._sup_namer(uid), self._is_remote),
+                                          _LocatedSup(uid, self.name),
+                                          self._is_remote),
                         transport)
 
     def _install_delegation(self, delegation: _Delegation, transport: Transport) -> None:
@@ -298,7 +298,8 @@ class _DqsqPeer:
             position=delegation.position, atoms=delegation.atoms,
             inequalities=delegation.inequalities)
         self._apply(delegation.uid,
-                    resume_rule(remainder, self._idb, self._sup_namer(delegation.uid),
+                    resume_rule(remainder, self._idb,
+                                _LocatedSup(delegation.uid, self.name),
                                 self._is_remote),
                     transport)
 
@@ -320,9 +321,6 @@ class _DqsqPeer:
             sup_home=sup_home,
             sup_args=rest.sup.args,  # type: ignore[arg-type]
         ))
-
-    def _sup_namer(self, uid: str) -> SupNamer:
-        return functools.partial(_located_sup, uid, self.name)
 
     def _is_remote(self, atom: Atom) -> bool:
         return atom.peer != self.name
@@ -387,9 +385,16 @@ class _DqsqPeer:
         transport.send(self.name, recipient, kind, payload)
 
 
-def _located_sup(uid: str, home: str, position: int,
-                 columns: tuple[Var, ...]) -> Atom:
-    return Atom(sup_relation_name(uid, position), columns, home)
+@dataclass(frozen=True)
+class _LocatedSup:
+    """The located ``sup[uid]j`` names of one rewriting step (a value, so
+    it can be part of the QSQ rewriting memo's key)."""
+
+    uid: str
+    home: str
+
+    def __call__(self, position: int, columns: tuple[Var, ...]) -> Atom:
+        return Atom(sup_relation_name(self.uid, position), columns, self.home)
 
 
 @dataclass

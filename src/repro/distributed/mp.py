@@ -56,7 +56,6 @@ vector-clocked tracing, DPOR choosers) are rejected up front by
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue as queue_module
 import time
 import traceback
@@ -399,8 +398,3 @@ class MpTransportRuntime:
                                           _SNAPSHOT)
         return {name: (facts, counters, terminated)
                 for _tag, name, facts, counters, terminated in replies}
-
-
-def default_parallelism() -> int:
-    """Usable CPU count (for benchmark sizing, not a hard limit)."""
-    return max(1, os.cpu_count() or 1)

@@ -8,7 +8,8 @@ The same file pins the satellites that ride on the kernel: the bounded
 LRU plan cache (eviction recompiles, never changes answers), the
 shape-keyed kernel code cache, batch handling of zero-arity relations,
 pickled programs re-interning before kernel evaluation (the mp worker
-path), and the invalid-tier error.
+path), the invalid-tier error, and the skip of firings whose join reads
+an empty relation (no kernel generated; a later delta still fires).
 """
 
 import pickle
@@ -389,3 +390,72 @@ class TestPickledProgramsBatchCleanly:
         wire = pickle.loads(pickle.dumps(rows))
         assert db.add_batch(key, wire).length == 0
         assert db.count(key) == 8
+
+
+class TestEmptyRelationSkip:
+    """A firing whose join reads an empty relation is skipped before its
+    kernel is generated; a later delta on that relation still fires it."""
+
+    LATE = """
+    p(X) :- e(X), f(X).
+    f(X) :- g(X).
+    g(X) :- h(X).
+    e("1"). e("2"). h("1").
+    """
+
+    def test_skipped_firing_generates_no_kernel(self):
+        clear_plan_cache()
+        program = parse_program("""
+        p(X) :- e(X), f(X).
+        e("1").
+        """)
+        rule = next(program.proper_rules())
+        evaluator = SemiNaiveEvaluator(program, compiled=True)
+        db = Database()
+        evaluator.run(db)
+        assert db.count(("p", None)) == 0
+        plan = compile_join_plan(rule)
+        assert plan.join_keys == (("e", None), ("f", None))
+        assert plan.batched_kernel is None
+        assert evaluator.counters["plan.empty_skips"] >= 1
+
+    def test_relation_filled_in_a_later_round(self):
+        def run(compiled):
+            db = Database()
+            evaluator = SemiNaiveEvaluator(parse_program(self.LATE),
+                                           compiled=compiled)
+            evaluator.run(db)
+            return snapshot(db), evaluator.counters["derivations"]
+
+        clear_plan_cache()
+        model, _derivations = per_tier(run)
+        assert model[("p", None)] == frozenset({(Const("1"),)})
+
+    def test_round_zero_skips_are_counted(self):
+        clear_plan_cache()
+        evaluator = SemiNaiveEvaluator(parse_program(self.LATE), compiled=True)
+        evaluator.run(Database())
+        # round 0 skips p (f empty) and f (g empty)
+        assert evaluator.counters["plan.empty_skips"] >= 2
+
+    def test_incremental_rule_before_its_facts(self):
+        # The dQSQ peer pattern: a rule is installed while a relation it
+        # joins is empty; the facts arrive from outside between fixpoints.
+        def run(compiled):
+            db = Database()
+            evaluator = IncrementalEvaluator(db, compiled=compiled)
+            for rule in parse_program("""
+            p(X, Z) :- e(X, Y), f(Y, Z).
+            e("1", "2"). e("2", "3").
+            """).rules:
+                evaluator.add_rule(rule)
+            evaluator.run()
+            assert db.count(("p", None)) == 0
+            db.add_all(("f", None), [(Const("2"), Const("9")),
+                                     (Const("3"), Const("8"))])
+            evaluator.run()
+            return snapshot(db)
+
+        model = per_tier(run)
+        assert model[("p", None)] == frozenset({(Const("1"), Const("9")),
+                                                (Const("2"), Const("8"))})
